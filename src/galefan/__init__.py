@@ -10,6 +10,7 @@ from .errors import (
     CapExceededError,
     DegenerateConfigurationError,
     GalefanError,
+    InternalError,
     InvalidFanError,
     InvalidRootError,
     NotAdmissibleError,
@@ -47,7 +48,6 @@ from .groups import (
     group_from_cokernel,
     is_admissible,
     is_link,
-    normalize,
     semigroup_membership,
     subgroup_membership,
 )

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .errors import CapExceededError, InvalidFanError, NotAdmissibleError
+from .errors import CapExceededError, InternalError, InvalidFanError, NotAdmissibleError
 from .fans import (
     SimplicialFan,
     VectorConfiguration,
     cone_key,
     is_regular_cone,
-    is_strictly_convex,
     validate_fan,
 )
 from .gale import inverse_gale_transform
@@ -60,11 +59,23 @@ class GSet:
                 raise ValueError("member indices out of range")
             if not generates_full_semigroup(self.collection, m):
                 raise ValueError(
-                    "member %s does not generate the full semigroup" % sorted(m)
+                    "member %s does not generate the full semigroup"
+                    % [i + 1 for i in sorted(m)]
                 )
 
     def sorted_members(self) -> tuple[frozenset[int], ...]:
         return tuple(sorted(self.members, key=cone_key))
+
+
+def _require_admissible(coll: ElementCollection) -> None:
+    adm = is_admissible(coll)
+    if not adm.admissible:
+        if not adm.generates:
+            raise NotAdmissibleError("collection does not generate its group")
+        raise NotAdmissibleError(
+            "element %d is not a non-negative combination of the others"
+            % (adm.failing_index + 1)
+        )
 
 
 def build_maximal_fan(coll: ElementCollection) -> SimplicialFan:
@@ -73,16 +84,11 @@ def build_maximal_fan(coll: ElementCollection) -> SimplicialFan:
     Rays come from the inverse Gale transform; the cones are exactly the
     index sets whose complements generate the full semigroup.  That test
     is antitone, so the subset scan prunes any superset of a failure.
-    Regularity and strict convexity of every cone are re-verified and
-    discrepancies raise, since the theory promises both.
+    Regularity of every cone (which implies strict convexity) and the
+    fan axioms are re-verified and discrepancies raise, since the theory
+    promises them.
     """
-    adm = is_admissible(coll)
-    if not adm.admissible:
-        if not adm.generates:
-            raise NotAdmissibleError("collection does not generate its group")
-        raise NotAdmissibleError(
-            "element %d is not a non-negative combination of the others" % adm.failing_index
-        )
+    _require_admissible(coll)
     config = inverse_gale_transform(coll)
     r = len(coll)
     indices = set(range(r))
@@ -102,17 +108,13 @@ def build_maximal_fan(coll: ElementCollection) -> SimplicialFan:
                 level.append(cand)
         cones.extend(level)
     for cone in cones:
-        if not cone:
-            continue
         if not is_regular_cone(config, cone):
-            raise RuntimeError("internal error: cone %s is not regular" % sorted(cone))
-        if not is_strictly_convex(config, cone):
-            raise RuntimeError("internal error: cone %s is not strictly convex" % sorted(cone))
+            raise InternalError("cone %s is not regular" % [i + 1 for i in sorted(cone)])
     fan = SimplicialFan(config, frozenset(cones))
     report = validate_fan(fan)
     if not report.valid:
-        raise RuntimeError(
-            "internal error: maximal fan fails validation: %s"
+        raise InternalError(
+            "maximal fan fails validation: %s"
             % "; ".join(v.message for v in report.violations)
         )
     return fan
@@ -299,14 +301,13 @@ def _positively_spans(coll: ElementCollection) -> bool:
 def _finest_product_partition(coll: ElementCollection) -> tuple[tuple[int, ...], ...]:
     """Finest index partition splitting the pair into a direct sum.
 
-    A part is admissible for the split when every relation among the
-    elements restricts to a relation on the part; checking a basis of
-    the relation lattice suffices.  Maximize the number of parts; ties
-    go to the smallest-index-first grouping.
+    A part is admissible for the split (closed) when every relation
+    among the elements restricts to a relation on the part; checking a
+    basis of the relation lattice suffices.  Closed sets are closed
+    under complement and intersection, so the finest split is unique:
+    the part of i is the intersection of all closed sets containing i.
     """
     r = len(coll)
-    if r == 0:
-        return ()
     kernel = integer_kernel(_lifted_matrix(coll.elements, coll.group))
     relations = [vec[:r] for vec in kernel]
     zero = coll.group.zero()
@@ -321,37 +322,13 @@ def _finest_product_partition(coll: ElementCollection) -> tuple[tuple[int, ...],
                 return False
         return True
 
-    valid = [m for m in range(1, 1 << r) if part_closed(m)]
-    order = {m: (bin(m).count("1"), tuple(i for i in range(r) if m >> i & 1)) for m in valid}
-    best: dict[int, int] = {0: 0}
-
-    def solve(mask: int) -> int:
-        if mask in best:
-            return best[mask]
-        low = mask & -mask
-        res = -1
-        for s in valid:
-            if s & ~mask or not s & low:
-                continue
-            sub = solve(mask ^ s)
-            if sub >= 0 and sub + 1 > res:
-                res = sub + 1
-        best[mask] = res
-        return res
-
-    parts = []
-    mask = (1 << r) - 1
-    total = solve(mask)
-    assert total >= 1
-    while mask:
-        low = mask & -mask
-        for s in sorted((s for s in valid if not s & ~mask and s & low), key=order.get):
-            if solve(mask ^ s) == solve(mask) - 1:
-                parts.append(tuple(i for i in range(r) if s >> i & 1))
-                mask ^= s
-                break
-        else:
-            raise AssertionError("partition reconstruction failed")
+    atoms = [(1 << r) - 1] * r
+    for mask in range(1, (1 << r) - 1):
+        if part_closed(mask):
+            for i in range(r):
+                if mask >> i & 1:
+                    atoms[i] &= mask
+    parts = {tuple(i for i in range(r) if atom >> i & 1) for atom in atoms}
     return tuple(sorted(parts))
 
 
@@ -391,13 +368,7 @@ def classify_pair(coll: ElementCollection) -> ClassificationReport:
     (with the regular-locus test for all-positive collections), and
     the repeated-value shape flag round out the report.
     """
-    adm = is_admissible(coll)
-    if not adm.admissible:
-        if not adm.generates:
-            raise NotAdmissibleError("collection does not generate its group")
-        raise NotAdmissibleError(
-            "element %d is not a non-negative combination of the others" % adm.failing_index
-        )
+    _require_admissible(coll)
     rank_one, locus = _rank_one_type(coll)
     return ClassificationReport(
         affine=coll.group.is_trivial,

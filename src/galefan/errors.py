@@ -1,4 +1,9 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package.
+
+Messages number rays, elements and cones from 1, as the JSON
+interchange does; structured fields such as ``FanViolation.indices``
+keep 0-based positions.
+"""
 
 
 class GalefanError(Exception):
@@ -31,3 +36,7 @@ class NotGeneratingError(GalefanError):
 
 class CapExceededError(GalefanError):
     """A configured enumeration or search cap was exceeded; result undecided."""
+
+
+class InternalError(GalefanError):
+    """A computed certificate failed its exact re-check: a bug, not bad input."""

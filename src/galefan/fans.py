@@ -19,9 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .errors import DegenerateConfigurationError, InvalidFanError, InvalidRootError
+from .errors import (
+    DegenerateConfigurationError,
+    InternalError,
+    InvalidFanError,
+    InvalidRootError,
+)
 from .linalg import (
     IntMatrix,
     LinearSystem,
@@ -39,24 +45,13 @@ def dot(v: Sequence[int], w: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(v, w))
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def is_primitive(v: Sequence[int]) -> bool:
-    g = 0
-    for c in v:
-        g = _gcd(g, abs(c))
-    return g == 1
+    return gcd(*v) == 1
 
 
 def primitivize(v: Sequence[int]) -> Vector:
     """Divide a nonzero vector by the gcd of its entries."""
-    g = 0
-    for c in v:
-        g = _gcd(g, abs(c))
+    g = gcd(*v)
     if g == 0:
         raise ValueError("cannot primitivize the zero vector")
     return tuple(c // g for c in v)
@@ -155,39 +150,24 @@ def is_strictly_convex(config: VectorConfiguration, indices: Iterable[int]) -> b
 
     The empty set gives the zero cone, which is strictly convex.
     """
-    return _is_strictly_convex_cached(config, tuple(sorted(set(indices))))
-
-
-@lru_cache(maxsize=65536)
-def _is_strictly_convex_cached(config: VectorConfiguration, idx: tuple[int, ...]) -> bool:
-    if not idx:
+    rows = tuple((config[i], 1) for i in sorted(set(indices)))
+    if not rows:
         return True
-    rows = tuple((config[i], 1) for i in idx)
     ok, _ = lp_feasible(LinearSystem(config.rank, inequalities=rows))
     return ok
 
 
 def is_regular_cone(config: VectorConfiguration, indices: Iterable[int]) -> bool:
     """Are the chosen vectors part of a basis of the ambient lattice?"""
-    return _is_regular_cone_cached(config, tuple(sorted(set(indices))))
-
-
-@lru_cache(maxsize=65536)
-def _is_regular_cone_cached(config: VectorConfiguration, idx: tuple[int, ...]) -> bool:
+    idx = tuple(sorted(set(indices)))
     if not idx:
         return True
     snf = smith_normal_form(config.column_matrix(idx))
     return snf.rank == len(idx) and all(d == 1 for d in snf.invariant_factors)
 
 
-@lru_cache(maxsize=65536)
-def _is_simplicial(config: VectorConfiguration, idx: tuple[int, ...]) -> bool:
-    return matrix_rank(config.column_matrix(idx)) == len(idx)
-
-
-def _require_simplicial(config: VectorConfiguration, idx: Sequence[int], name: str) -> None:
-    if not _is_simplicial(config, tuple(idx)):
-        raise ValueError(f"{name} does not span a simplicial cone")
+def _is_simplicial(config: VectorConfiguration, cone: Cone) -> bool:
+    return len(cone) <= config.rank and matrix_rank(config.column_matrix(cone)) == len(cone)
 
 
 def cones_meet_in_common_face(
@@ -199,56 +179,77 @@ def cones_meet_in_common_face(
     precisely on the shared generators, is positive on the rest of the
     left cone and negative on the rest of the right cone.
     """
-    li = tuple(sorted(set(left)))
-    ri = tuple(sorted(set(right)))
-    _require_simplicial(config, li, "left index set")
-    _require_simplicial(config, ri, "right index set")
-    if ri < li:
-        li, ri = ri, li
-    return _meet_in_common_face_cached(config, li, ri)
+    li = frozenset(left)
+    ri = frozenset(right)
+    for idx, name in ((li, "left index set"), (ri, "right index set")):
+        if not _is_simplicial(config, idx):
+            raise ValueError(f"{name} does not span a simplicial cone")
+    return _separated(config, li, ri)
 
 
-@lru_cache(maxsize=65536)
-def _meet_in_common_face_cached(
-    config: VectorConfiguration, li: tuple[int, ...], ri: tuple[int, ...]
-) -> bool:
-    shared = set(li) & set(ri)
+def _separated(config: VectorConfiguration, li: frozenset, ri: frozenset) -> bool:
+    # the LP of cones_meet_in_common_face, for cones known to be simplicial
+    shared = li & ri
     eqs = tuple((config[i], 0) for i in sorted(shared))
-    ins = tuple((config[i], 1) for i in li if i not in shared) + tuple(
-        (tuple(-c for c in config[j]), 1) for j in ri if j not in shared
+    ins = tuple((config[i], 1) for i in sorted(li - shared)) + tuple(
+        (tuple(-c for c in config[j]), 1) for j in sorted(ri - shared)
     )
     ok, _ = lp_feasible(LinearSystem(config.rank, equalities=eqs, inequalities=ins))
     return ok
 
 
+def _numbered(cone: Iterable[int]) -> str:
+    # messages number rays from 1, as the JSON interchange does
+    return str([i + 1 for i in sorted(cone)])
+
+
 def validate_fan(fan: SimplicialFan) -> FanReport:
-    """Check the fan axioms and ray conventions, reporting every violation."""
+    """Check the fan axioms and ray conventions, reporting every violation.
+
+    Separation is checked only between inclusion-maximal simplicial
+    cones: faces of two simplicial cones that meet in a common face
+    meet in a common face too, and two faces of one simplicial cone
+    always do (so a pair whose union is simplicial needs no LP).  A
+    ``bad-intersection`` violation therefore names a pair of maximal
+    cones, and the fan is valid exactly when every pair of its
+    simplicial cones meets in a common face.
+    """
     config = fan.config
     violations: list[FanViolation] = []
     prims = {}
     for i in config.indices:
         v = config[i]
         if not is_primitive(v):
-            violations.append(FanViolation("nonprimitive-ray", (i,), f"ray {i} is not primitive"))
+            violations.append(
+                FanViolation("nonprimitive-ray", (i,), f"ray {i + 1} is not primitive")
+            )
         prims[i] = primitivize(v)
     for i, j in combinations(config.indices, 2):
         if prims[i] == prims[j]:
             violations.append(
                 FanViolation(
-                    "duplicate-ray-direction", (i, j), f"rays {i} and {j} span the same ray"
+                    "duplicate-ray-direction",
+                    (i, j),
+                    f"rays {i + 1} and {j + 1} span the same ray",
                 )
             )
     declared = set(fan.rays)
     for i in config.indices:
         if i not in declared:
             violations.append(
-                FanViolation("missing-ray-cone", (i,), f"index {i} has no one-dimensional cone")
+                FanViolation(
+                    "missing-ray-cone", (i,), f"index {i + 1} has no one-dimensional cone"
+                )
             )
+    simplicial = []
     for c in fan.nonzero_cones():
-        idx = tuple(sorted(c))
-        if not _is_simplicial(config, idx):
+        if _is_simplicial(config, c):
+            simplicial.append(c)
+        else:
             violations.append(
-                FanViolation("dependent-cone", idx, f"cone {idx} is not simplicial")
+                FanViolation(
+                    "dependent-cone", tuple(sorted(c)), f"cone {_numbered(c)} is not simplicial"
+                )
             )
     # face closure
     for c in fan.nonzero_cones():
@@ -258,20 +259,17 @@ def validate_fan(fan: SimplicialFan) -> FanReport:
                     FanViolation(
                         "not-face-closed",
                         tuple(sorted(c)),
-                        f"facet of {tuple(sorted(c))} missing ray {i} is absent",
+                        f"facet of {_numbered(c)} missing ray {i + 1} is absent",
                     )
                 )
-    # pairwise separation, only meaningful for simplicial cones
-    simplicial = [
-        c for c in fan.sorted_cones() if _is_simplicial(config, tuple(sorted(c)))
-    ]
-    for a, b in combinations(simplicial, 2):
-        if not cones_meet_in_common_face(config, a, b):
+    maximal = [c for c in simplicial if not any(c < d for d in simplicial)]
+    for a, b in combinations(maximal, 2):
+        if not _is_simplicial(config, a | b) and not _separated(config, a, b):
             violations.append(
                 FanViolation(
                     "bad-intersection",
                     (tuple(sorted(a)), tuple(sorted(b))),
-                    f"cones {tuple(sorted(a))} and {tuple(sorted(b))} do not meet in a common face",
+                    f"cones {_numbered(a)} and {_numbered(b)} do not meet in a common face",
                 )
             )
     return FanReport(not violations, tuple(violations))
@@ -375,11 +373,14 @@ def root_connecting(
             )
             if e is not None:
                 root = DemazureRoot(e, rho)
-                assert is_demazure_root(fan, root)
+                if not is_demazure_root(fan, root):
+                    raise InternalError(f"covector {e} fails the root conditions")
                 return True, root
     return False, None
 
 
+# one strong-regularity check meets the same (ray, zero set, positives)
+# pattern from many cones that share the ray
 @lru_cache(maxsize=65536)
 def _covector_for_pattern(
     config: VectorConfiguration,
@@ -438,7 +439,10 @@ def he_connected_pairs(
     if not report.valid:
         raise InvalidFanError(report)
     if not is_demazure_root(fan, root):
-        raise InvalidRootError(f"{root} is not a root of the fan")
+        raise InvalidRootError(
+            f"covector {list(root.covector)} with ray {root.distinguished_ray + 1}"
+            " is not a root of the fan"
+        )
     rho = root.distinguished_ray
     pairs = []
     for c in fan.nonzero_cones():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .errors import CapExceededError, NotGeneratingError
+from .errors import CapExceededError, InternalError, NotGeneratingError
 from .groups import (
     AbelianGroup,
     ElementCollection,
@@ -67,16 +67,18 @@ def linear_gale_transform(config: VectorConfiguration) -> tuple[int, tuple[Vecto
     """Rational Gale dual: coordinate functionals restricted to the kernel.
 
     Returns (dimension, vectors); the defining identity that the sum of
-    the tensors v_i (x) w_i vanishes is asserted exactly.
+    the tensors v_i (x) w_i vanishes is checked exactly.
     """
     r = len(config)
     kernel = integer_kernel(config.column_matrix())
     dim = len(kernel)
-    assert dim == r - config.rank
+    if dim != r - config.rank:
+        raise InternalError("kernel dimension differs from r - rank")
     duals = tuple(tuple(vec[i] for vec in kernel) for i in range(r))
     for row in range(config.rank):
         for col in range(dim):
-            assert sum(config[i][row] * duals[i][col] for i in range(r)) == 0
+            if sum(config[i][row] * duals[i][col] for i in range(r)) != 0:
+                raise InternalError("Gale identity sum v_i (x) w_i = 0 fails")
     return dim, duals
 
 

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
-from .errors import CapExceededError
+from .errors import CapExceededError, InternalError
 from .linalg import (
     IntMatrix,
     LinearSystem,
@@ -113,11 +113,6 @@ class GroupElement:
         return self.group.element(tuple(k * a for a in self.free), tuple(k * a for a in self.torsion))
 
     __rmul__ = __mul__
-
-
-def normalize(group: AbelianGroup, free: Iterable[int] = (), torsion: Iterable[int] = ()) -> GroupElement:
-    """Reduce raw coordinates to the canonical representative."""
-    return group.element(free, torsion)
 
 
 @dataclass(frozen=True)
@@ -226,6 +221,8 @@ def semigroup_membership(
     return _semigroup_membership_cached(target, tuple(gens))
 
 
+# repeated element values make different index sets ask the same
+# (target, generators) question, within one scan and across scans
 @lru_cache(maxsize=65536)
 def _semigroup_membership_cached(
     target: GroupElement, gens: tuple[GroupElement, ...]
@@ -259,7 +256,8 @@ def _semigroup_membership_cached(
     check = group.zero()
     for c, g in zip(coeffs, gens):
         check = check + c * g
-    assert check == target
+    if check != target:
+        raise InternalError("membership witness does not sum to the target")
     return True, coeffs
 
 
@@ -305,12 +303,7 @@ def _search_radius(target: GroupElement, gens: Sequence[GroupElement]) -> int:
 
 def generates_group(coll: ElementCollection, indices: Optional[Iterable[int]] = None) -> bool:
     """Do the chosen elements generate the whole group?"""
-    idx = tuple(coll.indices if indices is None else sorted(set(indices)))
-    return _generates_group_cached(coll, idx)
-
-
-@lru_cache(maxsize=65536)
-def _generates_group_cached(coll: ElementCollection, idx: tuple[int, ...]) -> bool:
+    idx = coll.indices if indices is None else sorted(set(indices))
     mat = _lifted_matrix(coll.take(idx), coll.group)
     snf = smith_normal_form(mat)
     if snf.rank < coll.group.coords:
@@ -324,13 +317,8 @@ def generates_full_semigroup(coll: ElementCollection, indices: Iterable[int]) ->
     True exactly when the chosen elements generate the same semigroup as
     the whole collection.
     """
-    return _generates_full_semigroup_cached(coll, tuple(sorted(set(indices))))
-
-
-@lru_cache(maxsize=65536)
-def _generates_full_semigroup_cached(coll: ElementCollection, idx: tuple[int, ...]) -> bool:
-    gens = coll.take(idx)
-    chosen = set(idx)
+    chosen = set(indices)
+    gens = coll.take(sorted(chosen))
     for i in coll.indices:
         if i in chosen:
             continue

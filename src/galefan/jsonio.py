@@ -126,6 +126,8 @@ def decode_configuration(data: Any) -> VectorConfiguration:
     if "rank" not in d:
         raise InputFormatError("configuration: missing 'rank'")
     rank = _dec_int(d["rank"], "configuration.rank")
+    if rank < 0:
+        raise InputFormatError(f"configuration.rank: must be non-negative, got {rank}")
     raw = d.get("vectors", [])
     if not isinstance(raw, list):
         raise InputFormatError("configuration.vectors: expected a list")

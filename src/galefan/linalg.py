@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .errors import CapExceededError
+from .errors import CapExceededError, InternalError
 
 Vector = tuple[int, ...]
 
@@ -47,10 +48,6 @@ class IntMatrix:
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), cols=n)
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)), cols=cols)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
         cols = [tuple(c) for c in columns]
         if cols:
@@ -77,9 +74,6 @@ class IntMatrix:
 
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
-
-    def columns(self) -> tuple[Vector, ...]:
-        return tuple(self.col(j) for j in range(self.cols))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix.from_columns(self.entries, rows=self.cols)
@@ -317,7 +311,8 @@ def solve_diophantine(a: IntMatrix, b: Sequence[int]) -> DiophantineSolution:
     if not ok:
         return DiophantineSolution(None, kernel)
     x = snf.v.apply(y)
-    assert a.apply(x) == tuple(b)
+    if a.apply(x) != tuple(b):
+        raise InternalError("Diophantine solution fails A x = b")
     return DiophantineSolution(tuple(x), kernel)
 
 
@@ -471,7 +466,8 @@ def lp_feasible(system: LinearSystem) -> tuple[bool, Optional[tuple[Fraction, ..
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
-        assert leave is not None, "phase-1 objective is bounded"
+        if leave is None:
+            raise InternalError("phase-1 objective is unbounded")
         piv = tab[leave][enter]
         tab[leave] = [c / piv for c in tab[leave]]
         for i in range(m):
@@ -489,28 +485,12 @@ def lp_feasible(system: LinearSystem) -> tuple[bool, Optional[tuple[Fraction, ..
     for i in range(m):
         values[basis[i]] = tab[i][width]
     witness = tuple(values[k] - values[n + k] for k in range(n))
-    for row, beta in eqs:
-        assert sum(Fraction(c) * w for c, w in zip(row, witness)) == beta
-    for row, beta in ins:
-        assert sum(Fraction(c) * w for c, w in zip(row, witness)) >= beta
+    _check_witness(system, witness)
     return True, witness
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
-
-
-def _gcd_all(xs: Iterable[int]) -> int:
-    g = 0
-    for x in xs:
-        g = _gcd(g, abs(x))
-    return g
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _apriori_box(rows: list[Vector], rhs: list[int]) -> int:
@@ -570,7 +550,7 @@ def ilp_feasible(system: LinearSystem) -> tuple[bool, Optional[Vector]]:
         k = len(basis)
         cleaned = []
         for row, rhs in ineqs:
-            g = _gcd_all(row)
+            g = gcd(*row)
             if g == 0:
                 if rhs > 0:
                     return False, None
@@ -670,8 +650,11 @@ def _shrink_toward_zero(ineqs: list[tuple[Vector, int]], t: list[int]) -> Vector
     return tuple(t)
 
 
-def _check_witness(system: LinearSystem, x: Vector) -> None:
+def _check_witness(system: LinearSystem, x: Sequence) -> None:
+    # exact re-check of an LP or ILP witness (ints or Fractions)
     for row, rhs in system.equalities:
-        assert sum(c * v for c, v in zip(row, x)) == rhs
+        if sum(c * v for c, v in zip(row, x)) != rhs:
+            raise InternalError("witness violates an equality")
     for row, rhs in system.inequalities:
-        assert sum(c * v for c, v in zip(row, x)) >= rhs
+        if sum(c * v for c, v in zip(row, x)) < rhs:
+            raise InternalError("witness violates an inequality")

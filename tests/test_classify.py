@@ -20,12 +20,15 @@ from galefan import (
     gset_from_subfan,
     is_big_open_subfan,
     is_connected_gset,
+    integer_kernel,
+    IntMatrix,
     is_strongly_regular,
     semisimple_shape,
     subfan_from_gset,
 )
+from galefan.classify import _finest_product_partition
 
-from conftest import admissible_catalog, all_full_ray_subfans
+from conftest import admissible_catalog, all_full_ray_subfans, random_collection
 
 Z = AbelianGroup(1, ())
 TRIV = AbelianGroup(0, ())
@@ -72,7 +75,7 @@ def test_maximal_fan_weighted_space():
 def test_maximal_fan_rejects_bad_input():
     with pytest.raises(NotAdmissibleError, match="generate"):
         build_maximal_fan(ints(2, 4))
-    with pytest.raises(NotAdmissibleError, match="element 0"):
+    with pytest.raises(NotAdmissibleError, match="element 1 "):
         build_maximal_fan(ints(1, 2))
 
 
@@ -275,6 +278,61 @@ def test_classify_product_parts():
         zz, (zz.element((1, 0)), zz.element((0, 1)), zz.element((1, 0)), zz.element((0, 1)))
     )
     assert classify_pair(mixed).product_parts == ((0, 2), (1, 3))
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for p in set_partitions(rest):
+        for k in range(len(p)):
+            yield p[:k] + [[first] + p[k]] + p[k + 1:]
+        yield [[first]] + p
+
+
+def brute_finest_partition(coll):
+    """Referee: the set partition with the most closed parts, found by
+    scanning all partitions; also checks that it is the only one."""
+    group, r = coll.group, len(coll)
+    f = group.free_rank
+    cols = [e.lift() for e in coll]
+    for j, d in enumerate(group.torsion):
+        cols.append(tuple(d if k == f + j else 0 for k in range(group.coords)))
+    relations = [v[:r] for v in integer_kernel(IntMatrix.from_columns(cols, rows=group.coords))]
+
+    def closed(part):
+        for rel in relations:
+            acc = group.zero()
+            for i in part:
+                acc = acc + rel[i] * coll[i]
+            if not acc.is_zero:
+                return False
+        return True
+
+    best, count = [], 0
+    for p in set_partitions(list(range(r))):
+        if not all(closed(part) for part in p):
+            continue
+        if len(p) > count:
+            best, count = [p], len(p)
+        elif len(p) == count:
+            best.append(p)
+    assert len(best) == 1
+    return tuple(sorted(tuple(sorted(part)) for part in best[0]))
+
+
+def test_product_partition_matches_brute_force():
+    rng = random.Random(2024)
+    chains = [(), (2,), (3,), (6,), (2, 2), (2, 4)]
+    split = 0
+    for _ in range(150):
+        group = AbelianGroup(rng.randint(0, 2), rng.choice(chains))
+        coll = random_collection(rng, group, rng.randint(1, 6), height=rng.choice((1, 2)))
+        got = _finest_product_partition(coll)
+        assert got == brute_finest_partition(coll)
+        split += len(got) > 1
+    assert split > 20
 
 
 def test_classify_rejects_non_admissible():

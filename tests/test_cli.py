@@ -7,6 +7,7 @@ frozen byte-for-byte where the result is canonical.
 
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -132,6 +133,33 @@ def test_check_fan_violations_are_one_based(cli):
     assert payload["valid"] is False
     assert payload["violations"][0]["code"] == "nonprimitive-ray"
     assert payload["violations"][0]["indices"] == [1]
+
+
+def test_fan_messages_use_the_indices_they_report(cli):
+    # one fan with every violation kind; all numbers a user sees are 1-based
+    bad = {
+        "config": {"rank": 2, "vectors": [[2, 0], [0, 1], [1, 1], [0, 2]]},
+        "cones": [[1], [2], [3], [1, 2], [2, 3], [1, 2, 3], [1, 4]],
+    }
+    code, out, _ = cli(["check", "fan"], stdin=json.dumps(bad))
+    assert code == 1
+    violations = json.loads(out)["violations"]
+    assert {v["code"] for v in violations} == {
+        "nonprimitive-ray",
+        "duplicate-ray-direction",
+        "missing-ray-cone",
+        "dependent-cone",
+        "not-face-closed",
+        "bad-intersection",
+    }
+    for v in violations:
+        flat = [i for x in v["indices"] for i in (x if isinstance(x, list) else [x])]
+        numbers = [int(n) for n in re.findall(r"\d+", v["message"])]
+        assert set(numbers) == set(flat), v
+    messages = "; ".join(v["message"] for v in violations)
+    code, out, _ = cli(["fan", "roots", "--bound", "1"], stdin=json.dumps(bad))
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "invalid-fan", "message": "invalid fan: " + messages}
 
 
 def test_check_fan_valid(cli):
@@ -332,6 +360,7 @@ def test_input_errors_exit_2(cli, tmp_path):
     cases = [
         (["gale", "transform"], "not json"),
         (["gale", "transform"], '{"vectors":[[1,0]]}'),
+        (["gale", "transform"], '{"rank":-1,"vectors":[]}'),
         (["gale", "canonical"], '{"rank":2,"vectors":[[1,0],[1]]}'),
         (["gset", "check"], json.dumps(dict(P2_PAIR, members=[[1]]))),
     ]
@@ -428,11 +457,13 @@ def test_fixture_suite_passes(cli):
 
 
 def test_console_script_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "galefan.cli", "--fixtures"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0
-    assert "12 passed, 0 failed" in proc.stdout
+    # -O strips assert statements; the certificate checks must not depend on them
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "galefan.cli", "--fixtures"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert "12 passed, 0 failed" in proc.stdout

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from galefan import (
     is_regular_cone,
     is_strictly_convex,
     is_strongly_regular,
+    matrix_rank,
     one_skeleton_fan,
     one_skeleton_strongly_regular,
     primitivize,
@@ -151,6 +153,52 @@ def test_validate_fan_violations():
     overlap = VectorConfiguration(2, ((1, 0), (0, 1), (1, 1)))
     report = validate_fan(fan_of(overlap, (0,), (1,), (2,), (0, 1)))
     assert codes(report) == ["bad-intersection"]
+    # only the maximal cones are paired: (2,) against (0, 1), not (0,) or (1,)
+    assert [v.indices for v in report.violations] == [((2,), (0, 1))]
+
+
+def all_pairs_separation_failures(fan):
+    """Reference: every pair of simplicial cones, maximal or not."""
+    config = fan.config
+    simplicial = [
+        c for c in fan.sorted_cones() if matrix_rank(config.column_matrix(sorted(c))) == len(c)
+    ]
+    return {
+        (a, b)
+        for i, a in enumerate(simplicial)
+        for b in simplicial[i + 1:]
+        if not cones_meet_in_common_face(config, a, b)
+    }
+
+
+def test_maximal_cone_separation_matches_all_pairs():
+    rng = random.Random(47)
+    seen = {"valid": 0, "bad-intersection": 0, "unclosed": 0}
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        config = random_config(rng, n, rng.randint(n, n + 3), bound=2)
+        r = len(config)
+        cones = {frozenset(rng.sample(range(r), rng.randint(1, min(r, n + 1))))
+                 for _ in range(rng.randint(1, 4))}
+        if rng.random() < 0.6:
+            cones = {frozenset(f) for c in cones for k in range(len(c) + 1)
+                     for f in itertools.combinations(sorted(c), k)}
+        if rng.random() < 0.7:
+            cones |= {frozenset((i,)) for i in range(r)}
+        fan = SimplicialFan(config, frozenset(cones))
+        report = validate_fan(fan)
+        failures = all_pairs_separation_failures(fan)
+        others = set(codes(report)) - {"bad-intersection"}
+        want = others | ({"bad-intersection"} if failures else set())
+        assert set(codes(report)) == want
+        assert report.valid == (not want)
+        for v in report.violations:
+            if v.code == "bad-intersection":
+                assert tuple(frozenset(c) for c in v.indices) in failures
+        seen["valid"] += report.valid
+        seen["bad-intersection"] += bool(failures)
+        seen["unclosed"] += "not-face-closed" in others and bool(failures)
+    assert all(seen.values()), seen
 
 
 def test_suitability():

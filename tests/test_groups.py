@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -308,3 +311,26 @@ def test_direct_sum_collection_concatenates():
             assert both[i] == ds.embed_left(e)
         for i, e in enumerate(right):
             assert both[len(left) + i] == ds.embed_right(e)
+
+
+def test_membership_witness_check_survives_python_O():
+    import galefan
+
+    script = """
+import galefan.groups as groups
+from galefan import AbelianGroup, InternalError
+
+assert False, "asserts are live: -O was not applied"
+groups.ilp_feasible = lambda system: (True, (0,) * system.n_vars)
+z = AbelianGroup(1, ())
+try:
+    groups.semigroup_membership(z.element((1,)), (z.element((1,)),))
+except InternalError:
+    print("rejected")
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(galefan.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected\n"
