@@ -26,7 +26,6 @@ from .linalg import (
     integer_kernel,
     lp_feasible,
     matrix_rank,
-    max_minor_bound,
     row_hermite_form,
     smith_normal_form,
     solve_diophantine,
@@ -39,7 +38,6 @@ from .groups import (
     ElementCollection,
     GroupElement,
     Link,
-    coefficient_bound,
     direct_sum,
     direct_sum_collection,
     enumerate_links,
@@ -77,7 +75,6 @@ from .fans import (
 )
 from .gale import (
     canonical_form,
-    cones_meet_by_gale_duality,
     configs_equivalent,
     inverse_gale_transform,
     lattice_gale_transform,

@@ -22,7 +22,6 @@ from .linalg import (
     LinearSystem,
     Vector,
     ilp_feasible,
-    max_minor_bound,
     smith_normal_form,
     solve_diophantine,
 )
@@ -221,8 +220,10 @@ def semigroup_membership(
     return _semigroup_membership_cached(target, tuple(gens))
 
 
-# repeated element values make different index sets ask the same
-# (target, generators) question, within one scan and across scans
+# generates_full_semigroup and is_admissible pass distinct generator
+# values sorted by lift, so index sets with equal value sets share one
+# key; repeats come from the subset scans of one collection and from
+# collections that share a summand
 @lru_cache(maxsize=65536)
 def _semigroup_membership_cached(
     target: GroupElement, gens: tuple[GroupElement, ...]
@@ -235,9 +236,11 @@ def _semigroup_membership_cached(
     rows = []
     if s:
         # torsion multipliers are unbounded in sign, which can send the
-        # branch and bound wandering; box every variable by an a-priori
-        # search radius instead (a solution exists iff one exists with
-        # coefficients in [0, bound] and multipliers in [-bound, bound])
+        # branch and bound wandering, so every variable is boxed by
+        # _search_radius: coefficients in [0, bound], multipliers in
+        # [-bound, bound].  The proven radius is about (n+1)*Delta, Delta
+        # the largest minor (see _search_radius); the box relies on the
+        # slack of the Hadamard product above Delta to cover it
         bound = _search_radius(target, gens)
         for i in range(r + s):
             unit = tuple(1 if j == i else 0 for j in range(r + s))
@@ -261,29 +264,19 @@ def _semigroup_membership_cached(
     return True, coeffs
 
 
-def coefficient_bound(target: GroupElement, gens: Sequence[GroupElement]) -> int:
-    """Search radius for brute-force semigroup membership.
-
-    If target is a non-negative combination of the generators at all, it
-    is one with every coefficient bounded by this number (largest minor
-    of the lifted augmented system, with auxiliary torsion columns in
-    sign-split form).
-    """
-    group = target.group
-    cols = [g.lift() for g in gens]
-    for col in _relation_columns(group):
-        cols.append(col)
-        cols.append(tuple(-c for c in col))
-    mat = IntMatrix.from_columns(cols, rows=group.coords)
-    return max_minor_bound(mat, target.lift())
-
-
 def _search_radius(target: GroupElement, gens: Sequence[GroupElement]) -> int:
-    """Cheap upper bound on coefficient_bound via the Hadamard inequality.
+    """Search box for semigroup membership with torsion: a Hadamard product.
 
-    Every minor of the augmented sign-split system is bounded by a
-    product of row norms, so the full product bounds the exact search
-    radius from above without scanning minors.
+    The lifted system takes the generators and each torsion relation in
+    both signs, augmented by the target.  Every minor of it is bounded
+    by the product of its row norms, which is returned, so the result
+    is at least Delta, the largest absolute minor, without scanning
+    minors.  The proven proximity radius is larger, about (n+1)*Delta
+    for n variables: some non-negative integer solution, if one exists,
+    lies within n*Delta of a vertex of the LP relaxation, whose entries
+    are at most Delta (Cook, Gerards, Schrijver and Tardos 1986, Math.
+    Prog. 34).  The product covers that radius only through its slack
+    above Delta; no bound here proves it does.
     """
     group = target.group
     cols = [g.lift() for g in gens]
@@ -315,17 +308,29 @@ def generates_full_semigroup(coll: ElementCollection, indices: Iterable[int]) ->
     """Does the sub-semigroup spanned by the chosen elements contain all of them?
 
     True exactly when the chosen elements generate the same semigroup as
-    the whole collection.
+    the whole collection.  Only values matter: the chosen elements are
+    reduced to their distinct values, each distinct value outside them
+    is asked about once, and a value that is zero or equal to a chosen
+    value is a member without a search (the empty combination, or one
+    copy of that value).  Outside values are asked in the order of
+    their first index.
     """
     chosen = set(indices)
-    gens = coll.take(sorted(chosen))
-    for i in coll.indices:
-        if i in chosen:
-            continue
-        ok, _ = semigroup_membership(coll[i], gens)
-        if not ok:
-            return False
-    return True
+    gens = _distinct_values(coll.take(chosen))
+    outside = dict.fromkeys(coll[i] for i in coll.indices if i not in chosen)
+    return all(_in_semigroup(target, gens) for target in outside)
+
+
+def _distinct_values(elements: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
+    # sorted by lift so that equal generator sets share one memo key
+    return tuple(sorted(set(elements), key=GroupElement.lift))
+
+
+def _in_semigroup(target: GroupElement, values: tuple[GroupElement, ...]) -> bool:
+    if target.is_zero or target in values:
+        return True
+    ok, _ = semigroup_membership(target, values)
+    return ok
 
 
 @dataclass(frozen=True)
@@ -340,14 +345,16 @@ def is_admissible(coll: ElementCollection) -> AdmissibilityResult:
     semigroup-generating after removing any single element.
 
     Equivalently: every element is a non-negative combination of the
-    others.
+    others.  Indices are tested in order and the first failure is
+    reported.  As in ``generates_full_semigroup`` the others are reduced
+    to their distinct values, and an element that is zero or has an
+    equal value elsewhere in the collection passes without a search.
     """
     if not generates_group(coll):
         return AdmissibilityResult(False, False, None)
     for i in coll.indices:
-        others = coll.take(j for j in coll.indices if j != i)
-        ok, _ = semigroup_membership(coll[i], others)
-        if not ok:
+        others = _distinct_values(coll.take(j for j in coll.indices if j != i))
+        if not _in_semigroup(coll[i], others):
             return AdmissibilityResult(False, True, i)
     return AdmissibilityResult(True, True, None)
 

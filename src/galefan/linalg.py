@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -44,10 +43,6 @@ class IntMatrix:
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), cols=n)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
         cols = [tuple(c) for c in columns]
         if cols:
@@ -77,15 +72,6 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix.from_columns(self.entries, rows=self.cols)
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = other.transpose().entries
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in ot) for r in self.entries),
-            cols=other.cols,
-        )
 
     def apply(self, vec: Sequence[int]) -> Vector:
         if len(vec) != self.cols:
@@ -316,71 +302,49 @@ def solve_diophantine(a: IntMatrix, b: Sequence[int]) -> DiophantineSolution:
     return DiophantineSolution(tuple(x), kernel)
 
 
+def _bareiss(a: IntMatrix) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) row echelon elimination.
+
+    Columns without a pivot are skipped, so any shape works.  Returns
+    (rank, sign of the row permutation, last pivot).  Every entry still
+    in use is an integer minor of the input, so each division is exact;
+    the column below a pivot is never read again.  For a square matrix
+    of full rank the last pivot is the determinant up to the sign.
+    """
+    m = [list(r) for r in a.entries]
+    rank, sign, prev = 0, 1, 1
+    for col in range(a.cols):
+        if rank == a.rows:
+            break
+        piv = next((i for i in range(rank, a.rows) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        prow = m[rank]
+        p = prow[col]
+        for i in range(rank + 1, a.rows):
+            row = m[i]
+            f = row[col]
+            for j in range(col + 1, a.cols):
+                row[j] = (row[j] * p - f * prow[j]) // prev
+        prev = p
+        rank += 1
+    return rank, sign, prev
+
+
 def matrix_rank(a: IntMatrix) -> int:
     """Rank over the rationals."""
-    rows = [[Fraction(e) for e in r] for r in a.entries]
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < a.cols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                f = rows[i][col] / prow[col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
-        rank += 1
-        col += 1
-    return rank
+    return _bareiss(a)[0]
 
 
 def determinant(a: IntMatrix) -> int:
     """Exact determinant of a square integer matrix (Bareiss)."""
     if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = [list(r) for r in a.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def max_minor_bound(a: IntMatrix, b: Sequence[int]) -> int:
-    """Largest absolute minor of the augmented matrix [A | b], at least 1.
-
-    For a system A x = b with a solution in non-negative integers there
-    is one whose entries are all bounded by this number, so it can serve
-    as an exhaustive-search radius for small systems.
-    """
-    aug = [list(r) + [int(bb)] for r, bb in zip(a.entries, b)]
-    m = len(aug)
-    n = a.cols + 1 if m else 0
-    best = 1
-    for order in range(1, min(m, n) + 1):
-        for rsel in combinations(range(m), order):
-            for csel in combinations(range(n), order):
-                sub = IntMatrix(tuple(tuple(aug[i][j] for j in csel) for i in rsel), cols=order)
-                val = abs(determinant(sub))
-                if val > best:
-                    best = val
-    return best
+    rank, sign, last = _bareiss(a)
+    return sign * last if rank == a.rows else 0
 
 
 @dataclass(frozen=True)

@@ -184,7 +184,7 @@ def brute_semigroup_membership(target, gens) -> bool:
     Splits the generators in half and hashes the partial sums of one
     half, so the cost is square-root of the full box scan.
     """
-    from galefan import coefficient_bound
+    from oracles import coefficient_bound
 
     gens = list(gens)
     if not gens:

@@ -21,6 +21,7 @@ from conftest import (
     random_element,
     random_generating_collection,
 )
+from oracles import coefficient_bound, cones_meet_by_gale_duality
 from galefan import (
     AbelianGroup,
     ElementCollection,
@@ -30,8 +31,6 @@ from galefan import (
     build_maximal_fan,
     canonical_form,
     classify_pair,
-    coefficient_bound,
-    cones_meet_by_gale_duality,
     cones_meet_in_common_face,
     configs_equivalent,
     direct_sum_collection,

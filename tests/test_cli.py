@@ -10,8 +10,10 @@ import json
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from galefan.cli import main
 
@@ -467,3 +469,64 @@ def test_console_script_entry_point():
         )
         assert proc.returncode == 0
         assert "12 passed, 0 failed" in proc.stdout
+
+
+# arbitrary JSON for every command, plus inputs shaped like the
+# command's configuration, pair or fan (coordinate counts agree, so the
+# computation is reached) with about one field in four replaced by
+# arbitrary JSON
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _vectors(width):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=width, max_size=width), max_size=5)
+
+
+def _shaped(fields):
+    return st.fixed_dictionaries(
+        {k: st.integers(0, 3).flatmap(lambda j, v=v: v if j else _json_values) for k, v in fields.items()}
+    )
+
+
+_configs = st.integers(0, 3).flatmap(lambda n: _shaped({"rank": st.just(n), "vectors": _vectors(n)}))
+_pairs = st.tuples(st.integers(0, 2), st.lists(st.integers(-1, 6), max_size=2)).flatmap(
+    lambda g: _shaped(
+        {
+            "group": st.just({"free_rank": g[0], "torsion": g[1]}),
+            "collection": _vectors(g[0] + len(g[1])),
+        }
+    )
+)
+_fans = _shaped({"config": _configs, "cones": st.lists(st.lists(st.integers(0, 5), max_size=3), max_size=6)})
+_CASES = st.one_of(
+    st.tuples(
+        st.sampled_from([["gale", "transform"], ["check", "admissible"], ["check", "fan"], ["fan", "build-max"]]),
+        _json_values.map(json.dumps) | st.text(max_size=8),
+    ),
+    st.tuples(st.just(["gale", "transform"]), _configs.map(json.dumps)),
+    st.tuples(st.sampled_from([["check", "admissible"], ["fan", "build-max"]]), _pairs.map(json.dumps)),
+    st.tuples(st.just(["check", "fan"]), _fans.map(json.dumps)),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_CASES)
+def test_arbitrary_stdin_gets_one_json_line(case):
+    argv, payload = case
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(payload)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2, 3)
+    text = out.getvalue()
+    assert text.endswith("\n") and text.count("\n") == 1
+    json.loads(text)
+    assert "Traceback" not in err.getvalue()

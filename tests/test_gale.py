@@ -10,7 +10,6 @@ from galefan import (
     NotGeneratingError,
     VectorConfiguration,
     canonical_form,
-    cones_meet_by_gale_duality,
     cones_meet_in_common_face,
     configs_equivalent,
     generates_group,
@@ -22,6 +21,7 @@ from galefan import (
 from galefan.linalg import IntMatrix, determinant, matrix_rank
 
 from conftest import random_config, random_generating_collection, random_group
+from oracles import cones_meet_by_gale_duality
 
 
 def ints(*vals):

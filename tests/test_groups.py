@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -10,7 +11,6 @@ from galefan import (
     CapExceededError,
     ElementCollection,
     IntMatrix,
-    coefficient_bound,
     direct_sum,
     direct_sum_collection,
     enumerate_links,
@@ -32,6 +32,7 @@ from conftest import (
     random_element,
     random_group,
 )
+from oracles import coefficient_bound
 
 
 def test_group_validation():
@@ -231,6 +232,58 @@ def test_admissible_catalog_and_counterexamples():
     # mirror pair: fails at the negative element
     res3 = is_admissible(ElementCollection(z, (z.element((1,)), z.element((-1,)))))
     assert not res3.admissible and res3.generates and res3.failing_index == 0
+
+
+def _raw_generates(coll, chosen):
+    gens = coll.take(sorted(chosen))
+    return all(semigroup_membership(coll[i], gens)[0] for i in coll.indices if i not in chosen)
+
+
+def _raw_admissibility(coll):
+    if not generates_group(coll):
+        return False, False, None
+    for i in coll.indices:
+        ok, _ = semigroup_membership(coll[i], coll.take(j for j in coll.indices if j != i))
+        if not ok:
+            return False, True, i
+    return True, True, None
+
+
+def test_distinct_value_rule_matches_raw_membership():
+    # the distinct-value reduction and the zero / equal-value shortcut
+    # against one membership search per outside index on the raw
+    # generators, over every index subset; r <= 5 is drawn and doubling
+    # reaches 6 (the raw searches of a drawn r = 6 take seconds each)
+    rng = random.Random(1)
+    seen = set()
+    for _ in range(50):
+        group = AbelianGroup(rng.randint(0, 2), rng.choice([(2,), (6,), (2, 4)]))
+        r = rng.randint(1, 5)
+        elems = [random_element(rng, group, height=2) for _ in range(r)]
+        if rng.random() < 0.5:
+            elems[rng.randrange(r)] = group.zero()
+        if r > 1:
+            elems[rng.randrange(r)] = elems[rng.randrange(r)]
+        if rng.random() < 0.3:
+            elems = elems[: (r + 1) // 2] * 2
+        rng.shuffle(elems)
+        coll = ElementCollection(group, tuple(elems))
+        for k in range(len(coll) + 1):
+            for chosen in combinations(coll.indices, k):
+                got = generates_full_semigroup(coll, chosen)
+                assert got == _raw_generates(coll, chosen), (coll, chosen)
+                seen.add(("generates", got))
+        res = is_admissible(coll)
+        want = _raw_admissibility(coll)
+        assert (res.admissible, res.generates, res.failing_index) == want, coll
+        seen.add(("admissible", want[0], want[1]))
+    assert seen == {
+        ("generates", True),
+        ("generates", False),
+        ("admissible", True, True),
+        ("admissible", False, True),
+        ("admissible", False, False),
+    }
 
 
 def test_admissibility_is_deletion_stability():

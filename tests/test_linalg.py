@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,11 +14,12 @@ from galefan import (
     integer_kernel,
     lp_feasible,
     matrix_rank,
-    max_minor_bound,
     row_hermite_form,
     smith_normal_form,
     solve_diophantine,
 )
+
+from oracles import fraction_rank, identity, matmul, max_minor_bound
 
 matrices = st.integers(1, 4).flatmap(
     lambda n: st.integers(1, 4).flatmap(
@@ -36,7 +39,7 @@ def unimodular(mat: IntMatrix) -> bool:
 def test_matrix_basics():
     a = IntMatrix(((1, 2), (3, 4)))
     assert a.transpose().entries == ((1, 3), (2, 4))
-    assert a.mul(IntMatrix.identity(2)).entries == a.entries
+    assert matmul(a, identity(2)).entries == a.entries
     assert a.row(1) == (3, 4)
     assert a.col(0) == (1, 3)
     assert IntMatrix.from_columns([(1, 0), (2, 5)], rows=2).entries == ((1, 2), (0, 5))
@@ -47,7 +50,7 @@ def test_matrix_basics():
 def test_snf_properties(a):
     snf = smith_normal_form(a)
     assert unimodular(snf.u) and unimodular(snf.v)
-    d = snf.u.mul(a).mul(snf.v)
+    d = matmul(matmul(snf.u, a), snf.v)
     assert d.entries == snf.d.entries
     diag = snf.diagonal
     assert all(x >= 0 for x in diag)
@@ -71,7 +74,7 @@ def test_snf_examples():
 def test_hermite_properties(a):
     u, h = row_hermite_form(a)
     assert unimodular(u)
-    assert u.mul(a).entries == h.entries
+    assert matmul(u, a).entries == h.entries
     # pivots positive, strictly moving right, entries above reduced
     last = -1
     for i in range(h.rows):
@@ -109,7 +112,7 @@ def test_hermite_is_canonical():
         u = random_unimodular(rng, n)
         assert determinant(u) in (1, -1)
         _, h1 = row_hermite_form(a)
-        _, h2 = row_hermite_form(u.mul(a))
+        _, h2 = row_hermite_form(matmul(u, a))
         assert h1.entries == h2.entries
 
 
@@ -177,6 +180,37 @@ def test_determinant_matches_expansion():
             )
         assert determinant(a) == want
         assert (matrix_rank(a) == n) == (want != 0)
+
+
+def test_matrix_rank_matches_fraction_rank():
+    # products of an n x k and a k x m factor have rank at most k, so
+    # about half the draws are rank-deficient; square draws also check
+    # the shared elimination's determinant against the Leibniz formula
+    rng = random.Random(11)
+    deficient = 0
+    for _ in range(400):
+        n, m = rng.randint(0, 6), rng.randint(0, 6)
+        if rng.random() < 0.5:
+            k = rng.randint(0, max(0, min(n, m) - 1))
+            left = IntMatrix(tuple(tuple(rng.randint(-4, 4) for _ in range(k)) for _ in range(n)), cols=k)
+            right = IntMatrix(tuple(tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(k)), cols=m)
+            a = matmul(left, right)
+        else:
+            a = IntMatrix(tuple(tuple(rng.randint(-6, 6) for _ in range(m)) for _ in range(n)), cols=m)
+        want = fraction_rank(a)
+        assert matrix_rank(a) == want
+        deficient += want < min(n, m)
+        if n == m:
+            leibniz = sum(
+                _perm_sign(p) * prod(a[i, p[i]] for i in range(n)) for p in permutations(range(n))
+            )
+            assert determinant(a) == leibniz
+    assert deficient > 100
+
+
+def _perm_sign(p) -> int:
+    inversions = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
+    return -1 if inversions % 2 else 1
 
 
 def test_max_minor_bound_covers_entries():
