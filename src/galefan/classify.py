@@ -11,10 +11,10 @@ exactly from the collection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
+from ._record import Record
 from .errors import CapExceededError, InternalError, InvalidFanError, NotAdmissibleError
 from .fans import (
     SimplicialFan,
@@ -27,6 +27,8 @@ from .gale import inverse_gale_transform
 from .groups import (
     ElementCollection,
     GroupElement,
+    _distinct_values,
+    _in_semigroup,
     _lifted_matrix,
     enumerate_links,
     generates_full_semigroup,
@@ -39,8 +41,7 @@ from .linalg import LinearSystem, determinant, IntMatrix, integer_kernel, lp_fea
 ENUMERATE_GSETS_CAP = 4
 
 
-@dataclass(frozen=True)
-class GSet:
+class GSet(Record):
     """Family of index subsets, each generating the full semigroup.
 
     The complete index set is always required as a member.
@@ -84,6 +85,10 @@ def build_maximal_fan(coll: ElementCollection) -> SimplicialFan:
     Rays come from the inverse Gale transform; the cones are exactly the
     index sets whose complements generate the full semigroup.  That test
     is antitone, so the subset scan prunes any superset of a failure.
+    A candidate all of whose facets are cones needs one membership
+    question: the complement of a facet generates the full semigroup,
+    so the candidate's complement does exactly when it contains the
+    element the facet dropped, for which the largest index is taken.
     Regularity of every cone (which implies strict convexity) and the
     fan axioms are re-verified and discrepancies raise, since the theory
     promises them.
@@ -104,7 +109,8 @@ def build_maximal_fan(coll: ElementCollection) -> SimplicialFan:
             # antitone pruning: every facet of a cone must itself be a cone
             if any(cand - {k} not in prev for k in cand):
                 continue
-            if generates_full_semigroup(coll, indices - cand):
+            rest = _distinct_values(coll.take(indices - cand))
+            if _in_semigroup(coll[max(cand)], rest):
                 level.append(cand)
         cones.extend(level)
     for cone in cones:
@@ -160,8 +166,7 @@ def subfan_from_gset(gset: GSet, config: VectorConfiguration) -> SimplicialFan:
     return fan
 
 
-@dataclass(frozen=True)
-class ConnectednessResult:
+class ConnectednessResult(Record):
     connected: bool
     violation: Optional[tuple] = None
 
@@ -247,8 +252,7 @@ def enumerate_connected_gsets(coll: ElementCollection) -> tuple[GSet, ...]:
     return tuple(found)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     affine: bool
     complete: bool
     quasiaffine: bool
@@ -381,8 +385,7 @@ def classify_pair(coll: ElementCollection) -> ClassificationReport:
     )
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(Record):
     is_shape: bool
     value_groups: tuple[tuple[int, ...], ...]
     coincides_with_maximal: Optional[bool]

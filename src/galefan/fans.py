@@ -16,12 +16,12 @@ regular here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
+from ._record import Record
 from .errors import (
     DegenerateConfigurationError,
     InternalError,
@@ -57,8 +57,7 @@ def primitivize(v: Sequence[int]) -> Vector:
     return tuple(c // g for c in v)
 
 
-@dataclass(frozen=True)
-class VectorConfiguration:
+class VectorConfiguration(Record):
     """Finite ordered family of integer vectors spanning Q^rank."""
 
     rank: int
@@ -94,8 +93,7 @@ def cone_key(c: Cone) -> tuple:
     return (len(c), tuple(sorted(c)))
 
 
-@dataclass(frozen=True)
-class SimplicialFan:
+class SimplicialFan(Record):
     """Set of cones (index sets) over a configuration; the zero cone is
     always present."""
 
@@ -126,21 +124,18 @@ def one_skeleton_fan(config: VectorConfiguration) -> SimplicialFan:
     return SimplicialFan(config, frozenset(frozenset((i,)) for i in config.indices))
 
 
-@dataclass(frozen=True)
-class DemazureRoot:
+class DemazureRoot(Record):
     covector: Vector
     distinguished_ray: int
 
 
-@dataclass(frozen=True)
-class FanViolation:
+class FanViolation(Record):
     code: str
     indices: tuple
     message: str
 
 
-@dataclass(frozen=True)
-class FanReport:
+class FanReport(Record):
     valid: bool
     violations: tuple[FanViolation, ...] = ()
 
@@ -275,8 +270,7 @@ def validate_fan(fan: SimplicialFan) -> FanReport:
     return FanReport(not violations, tuple(violations))
 
 
-@dataclass(frozen=True)
-class SuitabilityResult:
+class SuitabilityResult(Record):
     suitable: bool
     witnesses: Optional[tuple[Vector, ...]] = None
     failing_index: Optional[int] = None
@@ -396,8 +390,7 @@ def _covector_for_pattern(
     return e if ok else None
 
 
-@dataclass(frozen=True)
-class StrongRegularityResult:
+class StrongRegularityResult(Record):
     strongly_regular: bool
     certificate: tuple[tuple[Cone, Cone, DemazureRoot], ...] = ()
     failing_cone: Optional[Cone] = None

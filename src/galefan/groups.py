@@ -10,12 +10,12 @@ integer feasibility problem with non-negative coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
+from ._record import Record
 from .errors import CapExceededError, InternalError
 from .linalg import (
     IntMatrix,
@@ -29,8 +29,7 @@ from .linalg import (
 ENUMERATE_LINKS_CAP = 10
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """Invariant factor presentation of a finitely generated abelian group."""
 
     free_rank: int
@@ -78,8 +77,7 @@ class AbelianGroup:
         return tuple(gens)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     group: AbelianGroup
     free: tuple[int, ...]
     torsion: tuple[int, ...]
@@ -114,8 +112,7 @@ class GroupElement:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class ElementCollection:
+class ElementCollection(Record):
     """Finite indexed collection of elements of one group."""
 
     group: AbelianGroup
@@ -144,8 +141,7 @@ class ElementCollection:
         return tuple(range(len(self.elements)))
 
 
-@dataclass(frozen=True)
-class CokernelMap:
+class CokernelMap(Record):
     """A cokernel Z^m / col-span(A) in normal form, with its projection.
 
     The projection matrix sends ambient coordinates to normal form
@@ -333,8 +329,7 @@ def _in_semigroup(target: GroupElement, values: tuple[GroupElement, ...]) -> boo
     return ok
 
 
-@dataclass(frozen=True)
-class AdmissibilityResult:
+class AdmissibilityResult(Record):
     admissible: bool
     generates: bool
     failing_index: Optional[int] = None
@@ -359,8 +354,7 @@ def is_admissible(coll: ElementCollection) -> AdmissibilityResult:
     return AdmissibilityResult(True, True, None)
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(Record):
     """Certificate that one element is a strictly positive combination
     of a support set of other elements."""
 
@@ -377,6 +371,8 @@ def is_link(
     The empty support is a link exactly for the zero element.  The
     strictly positive constraint is reduced to plain semigroup
     membership by first subtracting one copy of every support element.
+    The residue is asked about the distinct support values; in the
+    witness each value's coefficient goes to its first support index.
     """
     sup = sorted(set(support))
     if target in sup:
@@ -385,10 +381,13 @@ def is_link(
     residue = coll[target]
     for g in gens:
         residue = residue - g
-    ok, coeffs = semigroup_membership(residue, gens)
+    values = _distinct_values(gens)
+    ok, coeffs = semigroup_membership(residue, values)
     if not ok:
         return False, None
-    return True, tuple(c + 1 for c in coeffs)
+    extra = dict(zip(values, coeffs))
+    # dict.pop hands each value's coefficient to its first index only
+    return True, tuple(1 + extra.pop(g, 0) for g in gens)
 
 
 def enumerate_links(coll: ElementCollection) -> tuple[Link, ...]:
@@ -412,8 +411,7 @@ def enumerate_links(coll: ElementCollection) -> tuple[Link, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DirectSum:
+class DirectSum(Record):
     """External direct sum of two groups with its embeddings."""
 
     group: AbelianGroup

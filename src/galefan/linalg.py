@@ -10,11 +10,11 @@ linear systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
+from ._record import Record
 from .errors import CapExceededError, InternalError
 
 Vector = tuple[int, ...]
@@ -64,6 +64,10 @@ class IntMatrix:
     def __repr__(self):
         return f"IntMatrix({list(map(list, self.entries))!r})"
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which may set slots
+        return IntMatrix, (self.entries, self.cols)
+
     def row(self, i: int) -> Vector:
         return self.entries[i]
 
@@ -79,8 +83,7 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(r, vec)) for r in self.entries)
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Record):
     """Smith decomposition U*A*V = D with U, V unimodular and D diagonal.
 
     The diagonal is non-negative and forms a divisibility chain
@@ -258,8 +261,7 @@ def integer_kernel(a: IntMatrix) -> tuple[Vector, ...]:
     return tuple(snf.v.col(j) for j in range(rank, a.cols))
 
 
-@dataclass(frozen=True)
-class DiophantineSolution:
+class DiophantineSolution(Record):
     """Solution set of A x = b over the integers.
 
     ``particular`` is None when the system has no integer solution; the
@@ -347,8 +349,7 @@ def determinant(a: IntMatrix) -> int:
     return sign * last if rank == a.rows else 0
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(Record):
     """Linear constraints over n_vars unknowns.
 
     ``equalities`` rows mean row . x == rhs, ``inequalities`` rows mean

@@ -130,6 +130,7 @@ def test_weighted_projective_excluded_cone(report):
     report("weighted-1123", ok, "only the weight-1 index pair is excluded")
 
 
+@pytest.mark.slow
 def test_suitability_matches_dual_admissibility(report):
     rng = random.Random(501)
     checked = agree = suitable_seen = 0
@@ -149,6 +150,7 @@ def test_suitability_matches_dual_admissibility(report):
     )
 
 
+@pytest.mark.slow
 def test_membership_oracle_agreement(report):
     rng = random.Random(601)
     torsions = [(), (2,), (3,), (4,), (5,), (6,), (2, 2)]
@@ -354,6 +356,7 @@ def test_transform_round_trips(report):
     )
 
 
+@pytest.mark.slow
 def test_product_fan_law(report):
     catalog = admissible_catalog()
     combos = [

@@ -93,6 +93,42 @@ def test_maximal_fan_membership_is_complement_generation():
                 assert (cone in fan.cones) == expected
 
 
+def test_maximal_fan_matches_all_values_rule():
+    # build_maximal_fan asks one membership question per candidate cone;
+    # the referee asks generates_full_semigroup about every value outside
+    # the complement of every index subset, with no pruning
+    from itertools import combinations
+
+    from conftest import random_element
+
+    rng = random.Random(11)
+    built = 0
+    while built < 40:
+        group = AbelianGroup(rng.choice((0, 1, 1, 2)), rng.choice([(), (2,), (3,), (2, 2), (6,)]))
+        r = rng.randint(group.free_rank + 1, 5)
+        elems = [random_element(rng, group, height=2) for _ in range(r)]
+        if r > 1 and rng.random() < 0.5:
+            elems[rng.randrange(r)] = elems[rng.randrange(r)]
+        if rng.random() < 0.5:
+            # doubled values make free parts admissible far more often
+            elems = elems[:3] * 2
+            rng.shuffle(elems)
+        coll = ElementCollection(group, tuple(elems))
+        try:
+            fan = build_maximal_fan(coll)
+        except NotAdmissibleError:
+            continue
+        built += 1
+        indices = set(coll.indices)
+        expected = {
+            frozenset(sub)
+            for k in range(len(coll) + 1)
+            for sub in combinations(coll.indices, k)
+            if generates_full_semigroup(coll, indices - set(sub))
+        }
+        assert fan.cones == expected, coll
+
+
 def test_gset_round_trip():
     for coll in admissible_catalog():
         maximal = build_maximal_fan(coll)

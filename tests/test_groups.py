@@ -308,6 +308,40 @@ def test_is_link_cases():
     assert is_link(zero_coll, 0, [])[0]
 
 
+def test_link_on_distinct_values_matches_raw_membership():
+    # is_link searches on the distinct support values; the referee asks
+    # the same residue on the raw, repeated support generators
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(40):
+        group = AbelianGroup(rng.randint(0, 1), rng.choice([(2,), (3,)]))
+        r = rng.randint(2, 4)
+        elems = [random_element(rng, group, height=2) for _ in range(r)]
+        elems[rng.randrange(r)] = elems[rng.randrange(r)]
+        if rng.random() < 0.5:
+            elems[rng.randrange(r)] = elems[rng.randrange(r)]
+        coll = ElementCollection(group, tuple(elems))
+        for target in coll.indices:
+            others = [i for i in coll.indices if i != target]
+            for k in range(len(others) + 1):
+                for sup in combinations(others, k):
+                    gens = coll.take(sup)
+                    residue = coll[target]
+                    for g in gens:
+                        residue = residue - g
+                    want = semigroup_membership(residue, gens)[0]
+                    ok, coeffs = is_link(coll, target, sup)
+                    assert ok == want, (coll, target, sup)
+                    seen.add((ok, len(set(gens)) < len(gens)))
+                    if ok:
+                        assert len(coeffs) == len(sup) and min(coeffs, default=1) >= 1
+                        total = group.zero()
+                        for c, i in zip(coeffs, sup):
+                            total = total + c * coll[i]
+                        assert total == coll[target]
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_enumerate_links_order_and_validity():
     z = AbelianGroup(1, ())
     coll = ElementCollection(z, (z.element((1,)), z.element((1,)), z.element((2,))))
