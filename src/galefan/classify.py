@@ -27,16 +27,16 @@ from .gale import inverse_gale_transform
 from .groups import (
     ElementCollection,
     GroupElement,
-    _distinct_values,
-    _in_semigroup,
-    _lifted_matrix,
+    _in_semigroup_outside,
+    _reduced_dual,
+    _relation_basis,
     enumerate_links,
     generates_full_semigroup,
     generates_group,
     is_admissible,
     semigroup_membership,
 )
-from .linalg import LinearSystem, determinant, IntMatrix, integer_kernel, lp_feasible
+from .linalg import LinearSystem, determinant, IntMatrix, lp_feasible
 
 ENUMERATE_GSETS_CAP = 4
 
@@ -89,12 +89,18 @@ def build_maximal_fan(coll: ElementCollection) -> SimplicialFan:
     question: the complement of a facet generates the full semigroup,
     so the candidate's complement does exactly when it contains the
     element the facet dropped, for which the largest index is taken.
-    Regularity of every cone (which implies strict convexity) and the
-    fan axioms are re-verified and discrepancies raise, since the theory
-    promises them.
+    The question is ``_in_semigroup_outside``: a torsion-free group asks
+    about the distinct values of the complement, and a group with
+    torsion asks for an integer covector on the rays that is -1 on that
+    element's ray, 0 on the rest of the candidate and >= 0 on the other
+    rays (Gale duality: the rays are the relation lattice), in the
+    shorter lattice basis of ``_reduced_dual``.  Regularity of every
+    cone (which implies strict convexity) and the fan axioms are
+    re-verified and discrepancies raise, since the theory promises them.
     """
     _require_admissible(coll)
     config = inverse_gale_transform(coll)
+    dual = _reduced_dual(config.vectors) if coll.group.torsion else ()
     r = len(coll)
     indices = set(range(r))
     cones: list[frozenset[int]] = [frozenset()]
@@ -109,8 +115,7 @@ def build_maximal_fan(coll: ElementCollection) -> SimplicialFan:
             # antitone pruning: every facet of a cone must itself be a cone
             if any(cand - {k} not in prev for k in cand):
                 continue
-            rest = _distinct_values(coll.take(indices - cand))
-            if _in_semigroup(coll[max(cand)], rest):
+            if _in_semigroup_outside(coll, max(cand), cand, dual):
                 level.append(cand)
         cones.extend(level)
     for cone in cones:
@@ -312,8 +317,7 @@ def _finest_product_partition(coll: ElementCollection) -> tuple[tuple[int, ...],
     the part of i is the intersection of all closed sets containing i.
     """
     r = len(coll)
-    kernel = integer_kernel(_lifted_matrix(coll.elements, coll.group))
-    relations = [vec[:r] for vec in kernel]
+    relations = _relation_basis(coll)
     zero = coll.group.zero()
 
     def part_closed(mask: int) -> bool:

@@ -23,6 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 from ._record import Record
 from .errors import (
+    CapExceededError,
     DegenerateConfigurationError,
     InternalError,
     InvalidFanError,
@@ -39,6 +40,8 @@ from .linalg import (
 )
 
 Cone = frozenset
+
+ROOTS_SCAN_CAP = 500_000
 
 
 def dot(v: Sequence[int], w: Sequence[int]) -> int:
@@ -281,10 +284,9 @@ def is_suitable(config: VectorConfiguration) -> SuitabilityResult:
     and non-negatively with all the others."""
     witnesses = []
     for i in config.indices:
-        eqs = ((config[i], -1),)
-        ins = tuple((config[j], 0) for j in config.indices if j != i)
-        ok, w = ilp_feasible(LinearSystem(config.rank, equalities=eqs, inequalities=ins))
-        if not ok:
+        others = tuple(j for j in config.indices if j != i)
+        w = _covector_for_pattern(config.vectors, i, (), others, 0)
+        if w is None:
             return SuitabilityResult(False, None, i)
         witnesses.append(w)
     return SuitabilityResult(True, tuple(witnesses), None)
@@ -312,6 +314,8 @@ def roots_in_box(fan: SimplicialFan, bound: int) -> tuple[DemazureRoot, ...]:
     """All Demazure roots with sup-norm at most the bound.
 
     The fan must validate.  Output is ordered by covector, then ray.
+    The scan visits all (2*bound+1)^rank covectors of the box; past
+    ROOTS_SCAN_CAP of them it raises CapExceededError before scanning.
     """
     report = validate_fan(fan)
     if not report.valid:
@@ -319,6 +323,14 @@ def roots_in_box(fan: SimplicialFan, bound: int) -> tuple[DemazureRoot, ...]:
     if bound < 0:
         raise ValueError("negative bound")
     n = fan.config.rank
+    # a bound past the cap is refused before its power is formed
+    if n and (bound > ROOTS_SCAN_CAP or (2 * bound + 1) ** n > ROOTS_SCAN_CAP):
+        size = "(2*%d+1)^%d" % (bound, n)
+        if bound <= ROOTS_SCAN_CAP:
+            size += " = %d" % (2 * bound + 1) ** n
+        raise CapExceededError(
+            f"root scan of {size} covectors exceeds the cap of {ROOTS_SCAN_CAP}"
+        )
     out = []
     for e in product(range(-bound, bound + 1), repeat=n):
         if all(c == 0 for c in e):
@@ -363,7 +375,7 @@ def root_connecting(
                 continue
             positives = tuple(j for j in others if j not in zeros)
             e = _covector_for_pattern(
-                fan.config, rho, tuple(sorted(zeros)), positives
+                fan.config.vectors, rho, tuple(sorted(zeros)), positives, 1
             )
             if e is not None:
                 root = DemazureRoot(e, rho)
@@ -374,19 +386,27 @@ def root_connecting(
 
 
 # one strong-regularity check meets the same (ray, zero set, positives)
-# pattern from many cones that share the ray
+# pattern from many cones that share the ray; maximal fans of equal
+# collections with torsion ask the same membership patterns again
 @lru_cache(maxsize=65536)
 def _covector_for_pattern(
-    config: VectorConfiguration,
+    vectors: tuple[Vector, ...],
     rho: int,
     zeros: tuple[int, ...],
-    positives: tuple[int, ...],
+    others: tuple[int, ...],
+    low: int,
 ) -> Optional[Vector]:
-    # integer covector with value -1 on rho, 0 on zeros, >= 1 on positives
-    eqs = [(config[rho], -1)]
-    eqs += [(config[k], 0) for k in zeros]
-    ins = tuple((config[j], 1) for j in positives)
-    ok, e = ilp_feasible(LinearSystem(config.rank, equalities=tuple(eqs), inequalities=ins))
+    """Integer covector with value -1 on vectors[rho], 0 on the zeros and
+    at least ``low`` on the others, or None if there is none.
+
+    ``low`` is 1 for a root that cuts out a face, 0 for suitability and
+    for semigroup membership read through the Gale dual.
+    """
+    eqs = [(vectors[rho], -1)]
+    eqs += [(vectors[k], 0) for k in zeros]
+    ins = tuple((vectors[j], low) for j in others)
+    n = len(vectors[rho])
+    ok, e = ilp_feasible(LinearSystem(n, equalities=tuple(eqs), inequalities=ins))
     return e if ok else None
 
 

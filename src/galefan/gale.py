@@ -17,7 +17,8 @@ from .groups import (
     AbelianGroup,
     ElementCollection,
     GroupElement,
-    _lifted_matrix,
+    _dual_vectors,
+    _relation_basis,
     generates_group,
     group_from_cokernel,
 )
@@ -57,12 +58,8 @@ def inverse_gale_transform(coll: ElementCollection) -> VectorConfiguration:
     """
     if not generates_group(coll):
         raise NotGeneratingError("collection does not generate its group")
-    r = len(coll)
-    lifted = _lifted_matrix(coll.elements, coll.group)
-    kernel = integer_kernel(lifted)
-    rank = len(kernel)
-    vectors = tuple(tuple(vec[i] for vec in kernel) for i in range(r))
-    return VectorConfiguration(rank, vectors)
+    # the relations of a generating collection have rank r - free rank
+    return VectorConfiguration(len(coll) - coll.group.free_rank, _dual_vectors(coll))
 
 
 def linear_gale_transform(config: VectorConfiguration) -> tuple[int, tuple[Vector, ...]]:
@@ -156,8 +153,7 @@ def pairs_equivalent(left: ElementCollection, right: ElementCollection) -> bool:
     if candidates > PAIR_EQUIVALENCE_CANDIDATE_CAP:
         raise CapExceededError("too many candidate bijections between value classes")
 
-    kernel = integer_kernel(_lifted_matrix(left.elements, left.group))
-    relations = [vec[: len(left)] for vec in kernel]
+    relations = _relation_basis(left)
 
     group_of = {v: len(lclasses[v]) for v in lvalues}
     mults = sorted(set(group_of.values()))

@@ -17,11 +17,13 @@ from typing import Iterable, Optional, Sequence
 
 from ._record import Record
 from .errors import CapExceededError, InternalError
+from .fans import _covector_for_pattern
 from .linalg import (
     IntMatrix,
     LinearSystem,
     Vector,
     ilp_feasible,
+    integer_kernel,
     smith_normal_form,
     solve_diophantine,
 )
@@ -191,6 +193,50 @@ def _lifted_matrix(gens: Sequence[GroupElement], group: AbelianGroup) -> IntMatr
     return IntMatrix.from_columns(cols, rows=group.coords)
 
 
+def _relation_basis(coll: ElementCollection) -> tuple[Vector, ...]:
+    """Basis of the lattice of relations x, sum x_i * coll[i] = 0.
+
+    The kernel of the lifted matrix also carries one multiplier per
+    torsion factor; a relation determines them, so cutting the kernel
+    basis to the first r coordinates keeps a basis.
+    """
+    r = len(coll)
+    return tuple(vec[:r] for vec in integer_kernel(_lifted_matrix(coll.elements, coll.group)))
+
+
+def _dual_vectors(coll: ElementCollection) -> tuple[Vector, ...]:
+    """Gale dual vectors: vector i lists the i-th entries of the relation basis."""
+    basis = _relation_basis(coll)
+    return tuple(tuple(rel[i] for rel in basis) for i in coll.indices)
+
+
+def _reduced_dual(dual: tuple[Vector, ...]) -> tuple[Vector, ...]:
+    """The same Gale dual in a shorter basis of the relation lattice.
+
+    The columns of the matrix whose rows are ``dual`` form a basis of the
+    relations.  While subtracting the nearest integer multiple of one
+    basis vector from another shortens it, that is done (pairwise Gauss
+    reduction): each step is unimodular, and the squared lengths are
+    positive integers that strictly fall, so it ends.  A kernel basis
+    from the Smith form can carry five-digit entries where one-digit
+    ones exist, and the covector search of ``_in_semigroup_outside`` is
+    far slower on it.
+    """
+    basis = [list(col) for col in zip(*dual)]
+    changed = True
+    while changed:
+        changed = False
+        for b in basis:
+            for c in basis:
+                cc = sum(x * x for x in c)
+                bc = sum(x * y for x, y in zip(b, c))
+                if b is not c and 2 * abs(bc) > cc:
+                    q = (2 * bc + cc) // (2 * cc)  # the integer nearest bc / cc
+                    b[:] = [x - q * y for x, y in zip(b, c)]
+                    changed = True
+    return tuple(tuple(col[i] for col in basis) for i in range(len(dual)))
+
+
 def subgroup_membership(target: GroupElement, gens: Sequence[GroupElement]) -> bool:
     """Is target an integer combination of the generators?"""
     group = target.group
@@ -216,10 +262,10 @@ def semigroup_membership(
     return _semigroup_membership_cached(target, tuple(gens))
 
 
-# generates_full_semigroup and is_admissible pass distinct generator
-# values sorted by lift, so index sets with equal value sets share one
-# key; repeats come from the subset scans of one collection and from
-# collections that share a summand
+# generates_full_semigroup, and _in_semigroup_outside on torsion-free
+# groups, pass distinct generator values sorted by lift, so index sets
+# with equal value sets share one key; repeats come from the subset
+# scans of one collection and from collections that share a summand
 @lru_cache(maxsize=65536)
 def _semigroup_membership_cached(
     target: GroupElement, gens: tuple[GroupElement, ...]
@@ -329,6 +375,43 @@ def _in_semigroup(target: GroupElement, values: tuple[GroupElement, ...]) -> boo
     return ok
 
 
+def _in_semigroup_outside(
+    coll: ElementCollection, k: int, cone: Iterable[int], dual: tuple[Vector, ...]
+) -> bool:
+    """Is coll[k], k in cone, a non-negative combination of the elements
+    outside the cone?
+
+    Zero, or a value equal to an outside element, answers without a
+    search.  A torsion-free group asks ``semigroup_membership`` about
+    the distinct outside values.  With torsion the question goes to the
+    Gale dual ``dual`` (the ``_reduced_dual`` of the collection's
+    ``_dual_vectors``, or of any other basis of its relations): such a
+    combination is a relation that is -1 at k, 0 on the rest of the cone
+    and >= 0 outside it, so it exists exactly when an integer covector u
+    has <dual[k], u> = -1, <dual[j], u> = 0 for j in the cone other than
+    k, and <dual[j], u> >= 0 elsewhere.  That search needs no torsion
+    multipliers and no search box; the relation it yields is re-checked
+    as a combination in the group.
+    """
+    inside = set(cone)
+    outside = tuple(i for i in coll.indices if i not in inside)
+    target = coll[k]
+    if not coll.group.torsion:
+        return _in_semigroup(target, _distinct_values(coll.take(outside)))
+    if target.is_zero or target in coll.take(outside):
+        return True
+    zeros = tuple(sorted(inside - {k}))
+    u = _covector_for_pattern(dual, k, zeros, outside, 0)
+    if u is None:
+        return False
+    combination = coll.group.zero()
+    for j in outside:
+        combination = combination + sum(a * b for a, b in zip(dual[j], u)) * coll[j]
+    if combination != target:
+        raise InternalError("dual membership certificate does not sum to the target")
+    return True
+
+
 class AdmissibilityResult(Record):
     admissible: bool
     generates: bool
@@ -341,15 +424,18 @@ def is_admissible(coll: ElementCollection) -> AdmissibilityResult:
 
     Equivalently: every element is a non-negative combination of the
     others.  Indices are tested in order and the first failure is
-    reported.  As in ``generates_full_semigroup`` the others are reduced
-    to their distinct values, and an element that is zero or has an
-    equal value elsewhere in the collection passes without a search.
+    reported.  An element that is zero or has an equal value elsewhere
+    in the collection passes without a search.  Otherwise a torsion-free
+    group asks about the distinct values of the others, and a group with
+    torsion asks the Gale dual for an integer covector that is -1 on
+    the element's dual vector and >= 0 on all others (see
+    ``_in_semigroup_outside``).
     """
     if not generates_group(coll):
         return AdmissibilityResult(False, False, None)
+    dual = _reduced_dual(_dual_vectors(coll)) if coll.group.torsion else ()
     for i in coll.indices:
-        others = _distinct_values(coll.take(j for j in coll.indices if j != i))
-        if not _in_semigroup(coll[i], others):
+        if not _in_semigroup_outside(coll, i, (i,), dual):
             return AdmissibilityResult(False, True, i)
     return AdmissibilityResult(True, True, None)
 

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+import galefan.groups
 from galefan import (
     AbelianGroup,
     ElementCollection,
@@ -19,6 +22,22 @@ from galefan import (
 )
 
 TORSION_CHAINS = [(), (2,), (3,), (4,), (5,), (6,), (2, 2), (2, 4), (3, 3)]
+
+
+@pytest.fixture
+def covector_answers(monkeypatch) -> list:
+    """Every answer of the covector search that ``galefan.groups`` asks,
+    memo hits included: True when a covector exists."""
+    answers = []
+    search = galefan.groups._covector_for_pattern
+
+    def recording(*args):
+        u = search(*args)
+        answers.append(u is not None)
+        return u
+
+    monkeypatch.setattr(galefan.groups, "_covector_for_pattern", recording)
+    return answers
 
 
 def random_config(

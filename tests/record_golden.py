@@ -1,0 +1,85 @@
+"""Record the golden CLI corpus that ``test_cli.py`` replays.
+
+For a fixed list of pairs whose groups have torsion, the corpus holds
+the stdout and the exit code of ``fan build-max``, ``check
+strongly-regular`` (on the fan just built), ``classify pair`` and
+``check admissible``.  The last two pairs are not admissible, so their
+messages carry the failing index.  Run from the repository root with
+the tree to record on the path:
+
+    PYTHONPATH=src python3 tests/record_golden.py > tests/golden_cli.json
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+
+from galefan import AbelianGroup, ElementCollection, direct_sum_collection
+from galefan.cli import main
+from galefan.jsonio import encode_pair
+
+
+def _coll(free_rank, torsion, *values):
+    group = AbelianGroup(free_rank, torsion)
+    return ElementCollection(
+        group, tuple(group.element(v[:free_rank], v[free_rank:]) for v in values)
+    )
+
+
+def _ints(*values):
+    return _coll(1, (), *[(v,) for v in values])
+
+
+def _cyclic(order, *values):
+    return _coll(0, (order,), *[(v,) for v in values])
+
+
+PAIRS = {
+    "Z+Z/2 (1,1),(1,0),(-1,0),(-1,1)": _coll(1, (2,), (1, 1), (1, 0), (-1, 0), (-1, 1)),
+    "Z+Z/2 Z/2(1,1) + Z(1,1,1)": direct_sum_collection(_cyclic(2, 1, 1), _ints(1, 1, 1)),
+    "Z+Z/3 Z/3(1,2) + Z(1,1)": direct_sum_collection(_cyclic(3, 1, 2), _ints(1, 1)),
+    "Z+Z/3 Z(1,1) + Z/3(1,1)": direct_sum_collection(_ints(1, 1), _cyclic(3, 1, 1)),
+    "Z+Z/6 Z/6(1,2,3) + Z(1,1)": direct_sum_collection(_cyclic(6, 1, 2, 3), _ints(1, 1)),
+    "Z/6 Z/2(1,1) + Z/3(1,1)": direct_sum_collection(_cyclic(2, 1, 1), _cyclic(3, 1, 1)),
+    "Z/6 (1,5,2)": _cyclic(6, 1, 5, 2),
+    "Z/2+Z/4 Z/4(1,1) + Z/2(1,1)": direct_sum_collection(_cyclic(4, 1, 1), _cyclic(2, 1, 1)),
+    "not admissible, fails at 1: Z+Z/2 (1,0),(0,1),(0,1)": _coll(1, (2,), (1, 0), (0, 1), (0, 1)),
+    "not admissible, fails at 3: Z+Z/2 (1,0),(1,0),(-1,1)": _coll(1, (2,), (1, 0), (1, 0), (-1, 1)),
+}
+
+
+def run(argv: list[str], stdin: str) -> tuple[str, int]:
+    saved, out = sys.stdin, io.StringIO()
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return out.getvalue(), code
+
+
+def record() -> list[dict]:
+    cases = []
+
+    def add(name, argv, stdin):
+        stdout, code = run(argv, stdin)
+        cases.append({"name": name, "argv": argv, "stdin": stdin, "stdout": stdout, "exit": code})
+        return stdout, code
+
+    for name, coll in PAIRS.items():
+        pair = json.dumps(encode_pair(coll))
+        fan, code = add(name, ["fan", "build-max"], pair)
+        if code == 0:
+            add(name, ["check", "strongly-regular"], fan)
+        add(name, ["classify", "pair"], pair)
+        add(name, ["check", "admissible"], pair)
+    return cases
+
+
+if __name__ == "__main__":
+    json.dump(record(), sys.stdout, indent=1)
+    sys.stdout.write("\n")

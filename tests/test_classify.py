@@ -93,15 +93,17 @@ def test_maximal_fan_membership_is_complement_generation():
                 assert (cone in fan.cones) == expected
 
 
-def test_maximal_fan_matches_all_values_rule():
-    # build_maximal_fan asks one membership question per candidate cone;
-    # the referee asks generates_full_semigroup about every value outside
-    # the complement of every index subset, with no pruning
+def test_maximal_fan_matches_all_values_rule(covector_answers):
+    # build_maximal_fan asks one membership question per candidate cone,
+    # with torsion through the covector search on the rays; the referee
+    # asks generates_full_semigroup about every value outside the
+    # complement of every index subset, with no pruning
     from itertools import combinations
 
     from conftest import random_element
 
     rng = random.Random(11)
+    seen = set()
     built = 0
     while built < 40:
         group = AbelianGroup(rng.choice((0, 1, 1, 2)), rng.choice([(), (2,), (3,), (2, 2), (6,)]))
@@ -113,12 +115,19 @@ def test_maximal_fan_matches_all_values_rule():
             # doubled values make free parts admissible far more often
             elems = elems[:3] * 2
             rng.shuffle(elems)
+        if rng.random() < 0.3:
+            # no positive relation among non-negative free parts: a
+            # membership relation must leave some outside element out
+            elems = [group.element(map(abs, e.free), e.torsion) for e in elems]
         coll = ElementCollection(group, tuple(elems))
+        covector_answers.clear()
         try:
             fan = build_maximal_fan(coll)
         except NotAdmissibleError:
             continue
         built += 1
+        if group.torsion and group.free_rank:
+            seen.update(covector_answers)
         indices = set(coll.indices)
         expected = {
             frozenset(sub)
@@ -127,6 +136,16 @@ def test_maximal_fan_matches_all_values_rule():
             if generates_full_semigroup(coll, indices - set(sub))
         }
         assert fan.cones == expected, coll
+    # the covector search itself, not only a shortcut, said yes and no
+    assert seen == {True, False}
+    # without relations only the empty collection is admissible: its
+    # dual has rank 0 and its fan is the zero cone
+    empty = ElementCollection(TRIV, ())
+    assert build_maximal_fan(empty).cones == frozenset({frozenset()})
+    zt = AbelianGroup(2, (2,))
+    free = ElementCollection(zt, (zt.element((1, 0), (1,)), zt.element((0, 1), (0,))))
+    with pytest.raises(NotAdmissibleError):
+        build_maximal_fan(free)
 
 
 def test_gset_round_trip():

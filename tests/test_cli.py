@@ -10,12 +10,15 @@ import json
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from galefan.cli import main
+from galefan.fans import ROOTS_SCAN_CAP
 
 
 P2_PAIR = {"group": {"free_rank": 1, "torsion": []}, "collection": [[1], [1], [1]]}
@@ -408,6 +411,27 @@ def test_cap_exceeded_exit_3(cli):
     assert json.loads(out)["error"]["type"] == "cap-exceeded"
 
 
+def test_root_scan_past_the_cap_exits_3_at_once(cli):
+    # (2*10^6+1)^3 covectors would take days to scan; a bound too long to
+    # print whole is refused the same way
+    p3 = {
+        "config": {"rank": 3, "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]},
+        "cones": [[], [1], [2], [3], [4], [1, 2], [1, 3], [2, 3], [1, 4], [2, 4], [3, 4]],
+    }
+    for bound in ("1000000", "9" * 4300):
+        start = time.perf_counter()
+        code, out, _ = cli(["fan", "roots", "--bound", bound], stdin=json.dumps(p3))
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["type"] == "cap-exceeded"
+        assert "(2*%s+1)^3" % bound in error["message"]
+        assert "cap of %d" % ROOTS_SCAN_CAP in error["message"]
+    code, out, _ = cli(["fan", "roots", "--bound", "100"], stdin=json.dumps(p3))
+    assert code == 3
+    assert "(2*100+1)^3 = 8120601 covectors" in json.loads(out)["error"]["message"]
+
+
 def test_no_command_prints_usage(cli):
     code, out, err = cli([])
     assert code == 2
@@ -482,8 +506,8 @@ _json_values = st.recursive(
 )
 
 
-def _vectors(width):
-    return st.lists(st.lists(st.integers(-3, 3), min_size=width, max_size=width), max_size=5)
+def _vectors(width, max_size=5):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=width, max_size=width), max_size=max_size)
 
 
 def _shaped(fields):
@@ -497,7 +521,9 @@ _pairs = st.tuples(st.integers(0, 2), st.lists(st.integers(-1, 6), max_size=2)).
     lambda g: _shaped(
         {
             "group": st.just({"free_rank": g[0], "torsion": g[1]}),
-            "collection": _vectors(g[0] + len(g[1])),
+            # doubled values make a generating collection admissible
+            "collection": _vectors(g[0] + len(g[1]))
+            | _vectors(g[0] + len(g[1]), max_size=3).map(lambda vs: vs * 2),
         }
     )
 )
@@ -507,8 +533,11 @@ _CASES = st.one_of(
         st.sampled_from([["gale", "transform"], ["check", "admissible"], ["check", "fan"], ["fan", "build-max"]]),
         _json_values.map(json.dumps) | st.text(max_size=8),
     ),
-    st.tuples(st.just(["gale", "transform"]), _configs.map(json.dumps)),
-    st.tuples(st.sampled_from([["check", "admissible"], ["fan", "build-max"]]), _pairs.map(json.dumps)),
+    st.tuples(st.sampled_from([["gale", "transform"], ["check", "suitable"]]), _configs.map(json.dumps)),
+    st.tuples(
+        st.sampled_from([["check", "admissible"], ["fan", "build-max"], ["classify", "pair"]]),
+        _pairs.map(json.dumps),
+    ),
     st.tuples(st.just(["check", "fan"]), _fans.map(json.dumps)),
 )
 
@@ -530,3 +559,14 @@ def test_arbitrary_stdin_gets_one_json_line(case):
     assert text.endswith("\n") and text.count("\n") == 1
     json.loads(text)
     assert "Traceback" not in err.getvalue()
+
+
+def test_golden_cli_corpus_is_byte_identical(cli):
+    # stdout and exit codes of four commands on torsion pairs, recorded
+    # by tests/record_golden.py on the boxed membership search that the
+    # Gale-dual covector search replaced; re-record only on purpose
+    corpus = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+    assert len(corpus) == 38
+    for case in corpus:
+        code, out, _ = cli(case["argv"], stdin=case["stdin"])
+        assert (out, code) == (case["stdout"], case["exit"]), (case["name"], case["argv"])

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from galefan import (
+    CapExceededError,
     DegenerateConfigurationError,
     DemazureRoot,
     InvalidFanError,
@@ -25,6 +26,7 @@ from galefan import (
     roots_in_box,
     validate_fan,
 )
+import galefan.fans as fans_module
 from galefan.fans import dot
 
 from conftest import random_config
@@ -258,6 +260,14 @@ def test_roots_in_box():
     broken = fan_of(VectorConfiguration(2, ((2, 0), (0, 1))), (0,), (1,))
     with pytest.raises(InvalidFanError):
         roots_in_box(broken, 1)
+
+
+def test_roots_in_box_scan_cap(monkeypatch):
+    # the box of bound b in rank n holds (2b+1)^n covectors
+    monkeypatch.setattr(fans_module, "ROOTS_SCAN_CAP", 25)
+    assert len(roots_in_box(affine_plane(), 2)) == 6
+    with pytest.raises(CapExceededError, match=r"\(2\*3\+1\)\^2 = 49 covectors exceeds the cap of 25"):
+        roots_in_box(affine_plane(), 3)
 
 
 def test_root_connecting():

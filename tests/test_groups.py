@@ -19,10 +19,13 @@ from galefan import (
     group_from_cokernel,
     is_admissible,
     is_link,
+    row_hermite_form,
     semigroup_membership,
     smith_normal_form,
     subgroup_membership,
 )
+
+from galefan.groups import _dual_vectors, _in_semigroup_outside, _reduced_dual
 
 from conftest import (
     admissible_catalog,
@@ -249,13 +252,15 @@ def _raw_admissibility(coll):
     return True, True, None
 
 
-def test_distinct_value_rule_matches_raw_membership():
-    # the distinct-value reduction and the zero / equal-value shortcut
-    # against one membership search per outside index on the raw
-    # generators, over every index subset; r <= 5 is drawn and doubling
-    # reaches 6 (the raw searches of a drawn r = 6 take seconds each)
+def test_distinct_value_rule_matches_raw_membership(covector_answers):
+    # the distinct-value reduction, the zero / equal-value shortcut and,
+    # with torsion, the covector search on the Gale dual, against one
+    # membership search per outside index on the raw generators, over
+    # every index subset; r <= 5 is drawn and doubling reaches 6 (the
+    # raw searches of a drawn r = 6 take seconds each).  Collections
+    # without relations (a rank-0 dual) are drawn and also appended
     rng = random.Random(1)
-    seen = set()
+    colls = []
     for _ in range(50):
         group = AbelianGroup(rng.randint(0, 2), rng.choice([(2,), (6,), (2, 4)]))
         r = rng.randint(1, 5)
@@ -267,23 +272,59 @@ def test_distinct_value_rule_matches_raw_membership():
         if rng.random() < 0.3:
             elems = elems[: (r + 1) // 2] * 2
         rng.shuffle(elems)
-        coll = ElementCollection(group, tuple(elems))
+        colls.append(ElementCollection(group, tuple(elems)))
+    zt, zzt = AbelianGroup(1, (6,)), AbelianGroup(2, (2,))
+    colls += [
+        ElementCollection(zt, (zt.element((2,), (3,)),)),
+        ElementCollection(zzt, (zzt.element((1, 1), (1,)), zzt.element((0, 1), (0,)))),
+    ]
+    seen = set()
+    for coll in colls:
+        covector_answers.clear()
+        dual = _reduced_dual(_dual_vectors(coll))
         for k in range(len(coll) + 1):
             for chosen in combinations(coll.indices, k):
                 got = generates_full_semigroup(coll, chosen)
                 assert got == _raw_generates(coll, chosen), (coll, chosen)
                 seen.add(("generates", got))
+                if coll.group.torsion:
+                    cone = set(coll.indices) - set(chosen)
+                    gens = coll.take(chosen)
+                    for i in cone:
+                        want = semigroup_membership(coll[i], gens)[0]
+                        assert _in_semigroup_outside(coll, i, cone, dual) == want, (coll, i, chosen)
         res = is_admissible(coll)
         want = _raw_admissibility(coll)
         assert (res.admissible, res.generates, res.failing_index) == want, coll
         seen.add(("admissible", want[0], want[1]))
+        if coll.group.free_rank:
+            seen.update(("covector", a) for a in covector_answers)
+        if not any(dual):  # every dual vector is empty
+            seen.add(("no relations", coll.group.free_rank > 0))
     assert seen == {
         ("generates", True),
         ("generates", False),
         ("admissible", True, True),
         ("admissible", False, True),
         ("admissible", False, False),
+        ("covector", True),
+        ("covector", False),
+        ("no relations", True),
     }
+
+
+def test_reduced_dual_is_a_shorter_basis_of_the_same_relations():
+    # equal Hermite forms of the two bases (as rows) mean equal lattices
+    rng = random.Random(9)
+    for _ in range(80):
+        coll = random_collection(rng, random_group(rng), rng.randint(1, 6))
+        dual = _dual_vectors(coll)
+        reduced = _reduced_dual(dual)
+        n = len(dual[0])
+        assert len(reduced) == len(dual) and all(len(v) == n for v in reduced)
+        hermite = [row_hermite_form(IntMatrix(d, cols=n).transpose())[1] for d in (dual, reduced)]
+        assert hermite[0] == hermite[1], coll
+        assert sum(c * c for v in reduced for c in v) <= sum(c * c for v in dual for c in v)
 
 
 def test_admissibility_is_deletion_stability():
