@@ -23,12 +23,11 @@ from .fans import (
     is_regular_cone,
     validate_fan,
 )
-from .gale import inverse_gale_transform
+from .gale import configs_equivalent, inverse_gale_transform
 from .groups import (
     ElementCollection,
     GroupElement,
     _in_semigroup_outside,
-    _reduced_dual,
     _relation_basis,
     enumerate_links,
     generates_full_semigroup,
@@ -93,14 +92,14 @@ def build_maximal_fan(coll: ElementCollection) -> SimplicialFan:
     about the distinct values of the complement, and a group with
     torsion asks for an integer covector on the rays that is -1 on that
     element's ray, 0 on the rest of the candidate and >= 0 on the other
-    rays (Gale duality: the rays are the relation lattice), in the
-    shorter lattice basis of ``_reduced_dual``.  Regularity of every
+    rays (Gale duality: the rays are the relation lattice, printed in
+    the short basis of ``_relation_basis``).  Regularity of every
     cone (which implies strict convexity) and the fan axioms are
     re-verified and discrepancies raise, since the theory promises them.
     """
     _require_admissible(coll)
     config = inverse_gale_transform(coll)
-    dual = _reduced_dual(config.vectors) if coll.group.torsion else ()
+    dual = config.vectors if coll.group.torsion else ()
     r = len(coll)
     indices = set(range(r))
     cones: list[frozenset[int]] = [frozenset()]
@@ -137,10 +136,11 @@ def gset_from_subfan(
     """Generating-set family of a subfan of the maximal fan.
 
     The member attached to a cone is the complementary index set.  The
-    fan must live on the maximal fan's configuration, use every ray, and
-    contain only maximal-fan cones.
+    fan must live on the maximal fan's configuration (up to a unimodular
+    change of basis, so rays printed in another basis of the relations
+    are accepted), use every ray, and contain only maximal-fan cones.
     """
-    if fan.config != maximal.config:
+    if not configs_equivalent(fan.config, maximal.config):
         raise ValueError("fan and maximal fan have different configurations")
     if len(coll) != len(fan.config):
         raise ValueError("collection size does not match the configuration")
@@ -431,7 +431,10 @@ def semisimple_shape(coll: ElementCollection) -> ShapeReport:
 
 
 def is_big_open_subfan(fan: SimplicialFan, maximal: SimplicialFan) -> bool:
-    """Subfan with the full ray set (complement of codimension >= 2)."""
-    if fan.config != maximal.config:
+    """Subfan with the full ray set (complement of codimension >= 2).
+
+    The configurations must agree up to a unimodular change of basis.
+    """
+    if not configs_equivalent(fan.config, maximal.config):
         raise ValueError("fans have different configurations")
     return set(fan.cones) <= set(maximal.cones) and fan.rays == maximal.rays

@@ -52,9 +52,10 @@ def lattice_gale_transform(config: VectorConfiguration) -> tuple[AbelianGroup, E
 def inverse_gale_transform(coll: ElementCollection) -> VectorConfiguration:
     """Configuration whose Gale transform is the given generating collection.
 
-    Computed from a basis of the lattice of relations among the
-    elements; the result is determined up to left unimodular
-    equivalence by the choice of that basis.
+    Vector i lists the i-th entries of a basis of the relations among
+    the elements.  Any basis gives the result up to left unimodular
+    equivalence; the short one of ``_relation_basis`` keeps searches on
+    the rays, such as ``is_suitable``, fast.
     """
     if not generates_group(coll):
         raise NotGeneratingError("collection does not generate its group")

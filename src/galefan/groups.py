@@ -194,35 +194,20 @@ def _lifted_matrix(gens: Sequence[GroupElement], group: AbelianGroup) -> IntMatr
 
 
 def _relation_basis(coll: ElementCollection) -> tuple[Vector, ...]:
-    """Basis of the lattice of relations x, sum x_i * coll[i] = 0.
+    """Short basis of the lattice of relations x, sum x_i * coll[i] = 0.
 
     The kernel of the lifted matrix also carries one multiplier per
     torsion factor; a relation determines them, so cutting the kernel
-    basis to the first r coordinates keeps a basis.
+    basis to the first r coordinates keeps a basis.  That Smith-form
+    basis can carry five-digit entries where one-digit ones exist, and
+    searches on it are far slower, so while subtracting the nearest
+    integer multiple of one basis vector from another shortens it, that
+    is done (pairwise Gauss reduction): each step is unimodular, and the
+    squared lengths are positive integers that strictly fall.
     """
     r = len(coll)
-    return tuple(vec[:r] for vec in integer_kernel(_lifted_matrix(coll.elements, coll.group)))
-
-
-def _dual_vectors(coll: ElementCollection) -> tuple[Vector, ...]:
-    """Gale dual vectors: vector i lists the i-th entries of the relation basis."""
-    basis = _relation_basis(coll)
-    return tuple(tuple(rel[i] for rel in basis) for i in coll.indices)
-
-
-def _reduced_dual(dual: tuple[Vector, ...]) -> tuple[Vector, ...]:
-    """The same Gale dual in a shorter basis of the relation lattice.
-
-    The columns of the matrix whose rows are ``dual`` form a basis of the
-    relations.  While subtracting the nearest integer multiple of one
-    basis vector from another shortens it, that is done (pairwise Gauss
-    reduction): each step is unimodular, and the squared lengths are
-    positive integers that strictly fall, so it ends.  A kernel basis
-    from the Smith form can carry five-digit entries where one-digit
-    ones exist, and the covector search of ``_in_semigroup_outside`` is
-    far slower on it.
-    """
-    basis = [list(col) for col in zip(*dual)]
+    kernel = integer_kernel(_lifted_matrix(coll.elements, coll.group))
+    basis = [list(vec[:r]) for vec in kernel]
     changed = True
     while changed:
         changed = False
@@ -234,7 +219,13 @@ def _reduced_dual(dual: tuple[Vector, ...]) -> tuple[Vector, ...]:
                     q = (2 * bc + cc) // (2 * cc)  # the integer nearest bc / cc
                     b[:] = [x - q * y for x, y in zip(b, c)]
                     changed = True
-    return tuple(tuple(col[i] for col in basis) for i in range(len(dual)))
+    return tuple(tuple(b) for b in basis)
+
+
+def _dual_vectors(coll: ElementCollection) -> tuple[Vector, ...]:
+    """Gale dual vectors: vector i lists the i-th entries of the relation basis."""
+    basis = _relation_basis(coll)
+    return tuple(tuple(rel[i] for rel in basis) for i in coll.indices)
 
 
 def subgroup_membership(target: GroupElement, gens: Sequence[GroupElement]) -> bool:
@@ -384,14 +375,14 @@ def _in_semigroup_outside(
     Zero, or a value equal to an outside element, answers without a
     search.  A torsion-free group asks ``semigroup_membership`` about
     the distinct outside values.  With torsion the question goes to the
-    Gale dual ``dual`` (the ``_reduced_dual`` of the collection's
-    ``_dual_vectors``, or of any other basis of its relations): such a
-    combination is a relation that is -1 at k, 0 on the rest of the cone
-    and >= 0 outside it, so it exists exactly when an integer covector u
-    has <dual[k], u> = -1, <dual[j], u> = 0 for j in the cone other than
-    k, and <dual[j], u> >= 0 elsewhere.  That search needs no torsion
-    multipliers and no search box; the relation it yields is re-checked
-    as a combination in the group.
+    Gale dual ``dual`` (``_dual_vectors``, read off the short basis of
+    ``_relation_basis``; any basis gives the answer, not the speed):
+    such a combination is a relation that is -1 at k, 0 on the rest of
+    the cone and >= 0 outside it, so it exists exactly when an integer
+    covector u has <dual[k], u> = -1, <dual[j], u> = 0 for j in the cone
+    other than k, and <dual[j], u> >= 0 elsewhere.  That search needs no
+    torsion multipliers and no search box; the relation it yields is
+    re-checked as a combination in the group.
     """
     inside = set(cone)
     outside = tuple(i for i in coll.indices if i not in inside)
@@ -427,13 +418,13 @@ def is_admissible(coll: ElementCollection) -> AdmissibilityResult:
     reported.  An element that is zero or has an equal value elsewhere
     in the collection passes without a search.  Otherwise a torsion-free
     group asks about the distinct values of the others, and a group with
-    torsion asks the Gale dual for an integer covector that is -1 on
-    the element's dual vector and >= 0 on all others (see
+    torsion asks the Gale dual ``_dual_vectors`` for an integer covector
+    that is -1 on the element's dual vector and >= 0 on all others (see
     ``_in_semigroup_outside``).
     """
     if not generates_group(coll):
         return AdmissibilityResult(False, False, None)
-    dual = _reduced_dual(_dual_vectors(coll)) if coll.group.torsion else ()
+    dual = _dual_vectors(coll) if coll.group.torsion else ()
     for i in coll.indices:
         if not _in_semigroup_outside(coll, i, (i,), dual):
             return AdmissibilityResult(False, True, i)

@@ -295,7 +295,7 @@ def solve_diophantine(a: IntMatrix, b: Sequence[int]) -> DiophantineSolution:
                 ok = False
                 break
             y[i] = ub[i] // di
-    kernel = integer_kernel(a)
+    kernel = tuple(snf.v.col(j) for j in range(snf.rank, a.cols))  # as integer_kernel
     if not ok:
         return DiophantineSolution(None, kernel)
     x = snf.v.apply(y)

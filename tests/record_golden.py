@@ -4,8 +4,11 @@ For a fixed list of pairs whose groups have torsion, the corpus holds
 the stdout and the exit code of ``fan build-max``, ``check
 strongly-regular`` (on the fan just built), ``classify pair`` and
 ``check admissible``.  The last two pairs are not admissible, so their
-messages carry the failing index.  Run from the repository root with
-the tree to record on the path:
+messages carry the failing index.  After those come ``gale inverse``
+on every pair, then ``gale inverse`` and ``fan build-max`` on a few
+torsion-free pairs, so the printed relation basis is pinned for both
+kinds of group.  Run from the repository root with the tree to record
+on the path:
 
     PYTHONPATH=src python3 tests/record_golden.py > tests/golden_cli.json
 """
@@ -50,6 +53,12 @@ PAIRS = {
     "not admissible, fails at 3: Z+Z/2 (1,0),(1,0),(-1,1)": _coll(1, (2,), (1, 0), (1, 0), (-1, 1)),
 }
 
+FREE_PAIRS = {
+    "Z (1,1,1)": _ints(1, 1, 1),
+    "Z (1,1,2,3)": _ints(1, 1, 2, 3),
+    "Z^2 (1,0),(1,0),(0,1),(0,1),(1,1)": _coll(2, (), (1, 0), (1, 0), (0, 1), (0, 1), (1, 1)),
+}
+
 
 def run(argv: list[str], stdin: str) -> tuple[str, int]:
     saved, out = sys.stdin, io.StringIO()
@@ -77,6 +86,12 @@ def record() -> list[dict]:
             add(name, ["check", "strongly-regular"], fan)
         add(name, ["classify", "pair"], pair)
         add(name, ["check", "admissible"], pair)
+    for name, coll in PAIRS.items():
+        add(name, ["gale", "inverse"], json.dumps(encode_pair(coll)))
+    for name, coll in FREE_PAIRS.items():
+        pair = json.dumps(encode_pair(coll))
+        add(name, ["gale", "inverse"], pair)
+        add(name, ["fan", "build-max"], pair)
     return cases
 
 

@@ -169,9 +169,18 @@ def test_gset_validation():
         GSet(ints(0, 1, 1), frozenset({full, frozenset({0})}))
 
 
+def _sheared(fan):
+    # the same fan with its rays under the unimodular map (x, y, ...) -> (x + y, y, ...)
+    vecs = tuple((v[0] + v[1],) + tuple(v[1:]) for v in fan.config.vectors)
+    return SimplicialFan(VectorConfiguration(fan.config.rank, vecs), fan.cones)
+
+
 def test_gset_from_subfan_guards():
     coll = ints(1, 1, 1)
     maximal = build_maximal_fan(coll)
+    moved = _sheared(maximal)
+    assert moved.config != maximal.config
+    assert gset_from_subfan(coll, moved, maximal) == gset_from_subfan(coll, maximal, maximal)
     other = build_maximal_fan(ints(1, 1))
     with pytest.raises(ValueError, match="configurations"):
         gset_from_subfan(coll, other, maximal)
@@ -442,6 +451,7 @@ def test_is_big_open_subfan():
     coll = ints(1, 1, 1)
     maximal = build_maximal_fan(coll)
     assert is_big_open_subfan(maximal, maximal)
+    assert is_big_open_subfan(_sheared(maximal), maximal)
     sub = SimplicialFan(
         maximal.config,
         frozenset({frozenset({0}), frozenset({1}), frozenset({2}), frozenset({0, 1})}),

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from galefan import VectorConfiguration, configs_equivalent
 from galefan.cli import main
 from galefan.fans import ROOTS_SCAN_CAP
 
@@ -63,12 +64,29 @@ def test_gale_inverse_from_file(cli, tmp_path):
     pair = {"group": {"free_rank": 0, "torsion": [2]}, "collection": [[1], [1]]}
     code, out, _ = cli(["gale", "inverse", "-i", jfile(tmp_path, "pair.json", pair)])
     assert code == 0
-    assert out == '{"configuration":{"rank":2,"vectors":[[-1,-2],[1,0]]}}\n'
+    assert out == '{"configuration":{"rank":2,"vectors":[[-1,-1],[1,-1]]}}\n'
     # feeding the configuration back through the transform recovers the pair
     config = json.loads(out)["configuration"]
     code2, out2, _ = cli(["gale", "transform"], stdin=json.dumps(config))
     assert code2 == 0
     assert json.loads(out2) == pair
+
+
+def test_gale_round_trip_prints_a_short_basis(cli):
+    # the Smith-form kernel basis of this round trip has five-digit
+    # entries, and check suitable gave no answer on it within a minute
+    config = {"rank": 3, "vectors": [[-1, 3, 4], [4, -3, 4], [-3, 0, 2], [-2, -3, 0]]}
+    code, pair, _ = cli(["gale", "transform"], stdin=json.dumps(config))
+    assert code == 0
+    code, out, _ = cli(["gale", "inverse"], stdin=pair)
+    assert code == 0
+    back = json.loads(out)["configuration"]
+    assert configs_equivalent(VectorConfiguration(3, tuple(map(tuple, back["vectors"]))),
+                              VectorConfiguration(3, tuple(map(tuple, config["vectors"]))))
+    start = time.perf_counter()
+    code, out, _ = cli(["check", "suitable"], stdin=json.dumps(back))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["suitable"] is True
 
 
 def test_gale_linear(cli):
@@ -361,6 +379,23 @@ def test_classify_big_open(cli, tmp_path):
     assert code == 1 and json.loads(out) == {"big_open": False}
 
 
+def test_fans_in_another_basis_of_the_relations_are_accepted(cli, tmp_path):
+    # the rays in the unreduced Smith-form basis of the relations: the
+    # same configuration up to a unimodular change of basis
+    pair = {"group": {"free_rank": 1, "torsion": [2]}, "collection": [[1, 1], [1, 0], [-1, 0], [-1, 1]]}
+    config = {"rank": 3, "vectors": [[0, -1, -2], [1, 2, 2], [1, 0, 0], [0, 1, 0]]}
+    cones = [[], [1], [2], [3], [4], [1, 3], [2, 4]]
+    code, out, _ = cli(["fan", "build-max"], stdin=json.dumps(pair))
+    assert code == 0 and json.loads(out)["cones"] == cones
+    assert json.loads(out)["config"] != config
+    maximal = jfile(tmp_path, "max.json", json.loads(out))
+    saved = jfile(tmp_path, "saved.json", {"config": config, "cones": cones})
+    code, out, _ = cli(["gset", "from-fan", "-i", jfile(tmp_path, "pair.json", pair), "-f", saved])
+    assert code == 0 and len(json.loads(out)["members"]) == len(cones)
+    code, out, _ = cli(["classify", "big-open", "-i", saved, "-m", maximal])
+    assert code == 0 and json.loads(out) == {"big_open": True}
+
+
 def test_input_errors_exit_2(cli, tmp_path):
     cases = [
         (["gale", "transform"], "not json"),
@@ -449,7 +484,7 @@ def test_element_objects_accepted_on_input(cli):
     }
     code, out, _ = cli(["gale", "inverse"], stdin=json.dumps(pair))
     assert code == 0
-    assert out == '{"configuration":{"rank":2,"vectors":[[-1,-2],[1,0]]}}\n'
+    assert out == '{"configuration":{"rank":2,"vectors":[[-1,-1],[1,-1]]}}\n'
 
 
 def test_big_integers_round_trip_as_strings(cli):
@@ -535,7 +570,9 @@ _CASES = st.one_of(
     ),
     st.tuples(st.sampled_from([["gale", "transform"], ["check", "suitable"]]), _configs.map(json.dumps)),
     st.tuples(
-        st.sampled_from([["check", "admissible"], ["fan", "build-max"], ["classify", "pair"]]),
+        st.sampled_from(
+            [["gale", "inverse"], ["check", "admissible"], ["fan", "build-max"], ["classify", "pair"]]
+        ),
         _pairs.map(json.dumps),
     ),
     st.tuples(st.just(["check", "fan"]), _fans.map(json.dumps)),
@@ -564,9 +601,11 @@ def test_arbitrary_stdin_gets_one_json_line(case):
 def test_golden_cli_corpus_is_byte_identical(cli):
     # stdout and exit codes of four commands on torsion pairs, recorded
     # by tests/record_golden.py on the boxed membership search that the
-    # Gale-dual covector search replaced; re-record only on purpose
+    # Gale-dual covector search replaced, and of gale inverse and
+    # torsion-free fan build-max, which pin the printed relation basis;
+    # re-record only on purpose
     corpus = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
-    assert len(corpus) == 38
+    assert len(corpus) == 54
     for case in corpus:
         code, out, _ = cli(case["argv"], stdin=case["stdin"])
         assert (out, code) == (case["stdout"], case["exit"]), (case["name"], case["argv"])

@@ -17,6 +17,7 @@ from galefan import (
     generates_full_semigroup,
     generates_group,
     group_from_cokernel,
+    integer_kernel,
     is_admissible,
     is_link,
     row_hermite_form,
@@ -25,7 +26,7 @@ from galefan import (
     subgroup_membership,
 )
 
-from galefan.groups import _dual_vectors, _in_semigroup_outside, _reduced_dual
+from galefan.groups import _dual_vectors, _in_semigroup_outside, _lifted_matrix, _relation_basis
 
 from conftest import (
     admissible_catalog,
@@ -281,7 +282,7 @@ def test_distinct_value_rule_matches_raw_membership(covector_answers):
     seen = set()
     for coll in colls:
         covector_answers.clear()
-        dual = _reduced_dual(_dual_vectors(coll))
+        dual = _dual_vectors(coll)
         for k in range(len(coll) + 1):
             for chosen in combinations(coll.indices, k):
                 got = generates_full_semigroup(coll, chosen)
@@ -313,18 +314,20 @@ def test_distinct_value_rule_matches_raw_membership(covector_answers):
     }
 
 
-def test_reduced_dual_is_a_shorter_basis_of_the_same_relations():
-    # equal Hermite forms of the two bases (as rows) mean equal lattices
+def test_relation_basis_is_a_shorter_basis_of_the_same_relations():
+    # equal Hermite forms of the two bases (as rows) mean equal lattices;
+    # the raw basis is the Smith-form kernel cut to the r coordinates
     rng = random.Random(9)
     for _ in range(80):
         coll = random_collection(rng, random_group(rng), rng.randint(1, 6))
-        dual = _dual_vectors(coll)
-        reduced = _reduced_dual(dual)
-        n = len(dual[0])
-        assert len(reduced) == len(dual) and all(len(v) == n for v in reduced)
-        hermite = [row_hermite_form(IntMatrix(d, cols=n).transpose())[1] for d in (dual, reduced)]
+        r = len(coll)
+        raw = tuple(v[:r] for v in integer_kernel(_lifted_matrix(coll.elements, coll.group)))
+        basis = _relation_basis(coll)
+        assert len(basis) == len(raw) and all(len(v) == r for v in basis)
+        hermite = [row_hermite_form(IntMatrix(b, cols=r))[1] for b in (raw, basis)]
         assert hermite[0] == hermite[1], coll
-        assert sum(c * c for v in reduced for c in v) <= sum(c * c for v in dual for c in v)
+        assert sum(c * c for v in basis for c in v) <= sum(c * c for v in raw for c in v)
+        assert _dual_vectors(coll) == tuple(tuple(v[i] for v in basis) for i in coll.indices)
 
 
 def test_admissibility_is_deletion_stability():
