@@ -16,13 +16,9 @@ from typing import Optional
 
 from ._record import Record
 from .errors import CapExceededError, InternalError, InvalidFanError, NotAdmissibleError
-from .fans import (
-    SimplicialFan,
-    VectorConfiguration,
-    cone_key,
-    is_regular_cone,
-    validate_fan,
-)
+from .fans import SimplicialFan, VectorConfiguration, cone_key, is_regular_cone
+# unused: perfbench's tracing probe wants this binding until ROADMAP item 2
+from .fans import validate_fan  # noqa: F401
 from .gale import configs_equivalent, inverse_gale_transform
 from .groups import (
     ElementCollection,
@@ -120,14 +116,13 @@ def build_maximal_fan(coll: ElementCollection) -> SimplicialFan:
     for cone in cones:
         if not is_regular_cone(config, cone):
             raise InternalError("cone %s is not regular" % [i + 1 for i in sorted(cone)])
-    fan = SimplicialFan(config, frozenset(cones))
-    report = validate_fan(fan)
-    if not report.valid:
+    try:
+        return SimplicialFan(config, frozenset(cones))
+    except InvalidFanError as exc:
         raise InternalError(
             "maximal fan fails validation: %s"
-            % "; ".join(v.message for v in report.violations)
-        )
-    return fan
+            % "; ".join(v.message for v in exc.report.violations)
+        ) from exc
 
 
 def gset_from_subfan(
@@ -138,7 +133,7 @@ def gset_from_subfan(
     The member attached to a cone is the complementary index set.  The
     fan must live on the maximal fan's configuration (up to a unimodular
     change of basis, so rays printed in another basis of the relations
-    are accepted), use every ray, and contain only maximal-fan cones.
+    are accepted) and contain only maximal-fan cones.
     """
     if not configs_equivalent(fan.config, maximal.config):
         raise ValueError("fan and maximal fan have different configurations")
@@ -146,8 +141,6 @@ def gset_from_subfan(
         raise ValueError("collection size does not match the configuration")
     if not set(fan.cones) <= set(maximal.cones):
         raise ValueError("not a subfan of the maximal fan")
-    if fan.rays != fan.config.indices:
-        raise ValueError("subfan must use the full ray set")
     full = frozenset(range(len(coll)))
     members = frozenset(full - cone for cone in fan.cones)
     return GSet(coll, members)
@@ -156,19 +149,14 @@ def gset_from_subfan(
 def subfan_from_gset(gset: GSet, config: VectorConfiguration) -> SimplicialFan:
     """Fan whose cones are the complements of the family's members.
 
-    Inverse to gset_from_subfan.  The resulting cone family must be a
-    valid fan; otherwise the fan report is raised.
+    Inverse to gset_from_subfan.  A cone family that is not a fan
+    raises ``InvalidFanError`` with the fan report.
     """
     r = len(gset.collection)
     if len(config) != r:
         raise ValueError("configuration size does not match the collection")
     full = frozenset(range(r))
-    cones = frozenset(full - m for m in gset.members)
-    fan = SimplicialFan(config, cones)
-    report = validate_fan(fan)
-    if not report.valid:
-        raise InvalidFanError(report)
-    return fan
+    return SimplicialFan(config, frozenset(full - m for m in gset.members))
 
 
 class ConnectednessResult(Record):
@@ -315,10 +303,15 @@ def _finest_product_partition(coll: ElementCollection) -> tuple[tuple[int, ...],
     basis of the relation lattice suffices.  Closed sets are closed
     under complement and intersection, so the finest split is unique:
     the part of i is the intersection of all closed sets containing i.
+    Only unions of classes are scanned: equal nonzero values share every
+    closed set (their difference is a relation), and a zero element is
+    closed on its own, so it is a class by itself.
     """
     r = len(coll)
     relations = _relation_basis(coll)
     zero = coll.group.zero()
+    classes = [sum(1 << i for i in g) for g in _value_index_groups(coll) if not coll[g[0]].is_zero]
+    classes += [1 << i for i in range(r) if coll[i].is_zero]
 
     def part_closed(mask: int) -> bool:
         for rel in relations:
@@ -331,7 +324,8 @@ def _finest_product_partition(coll: ElementCollection) -> tuple[tuple[int, ...],
         return True
 
     atoms = [(1 << r) - 1] * r
-    for mask in range(1, (1 << r) - 1):
+    for pick in range(1, (1 << len(classes)) - 1):
+        mask = sum(m for k, m in enumerate(classes) if pick >> k & 1)
         if part_closed(mask):
             for i in range(r):
                 if mask >> i & 1:
@@ -354,15 +348,13 @@ def _rank_one_type(coll: ElementCollection) -> tuple[Optional[int], Optional[boo
         vals = [-v for v in vals]
     if 0 in vals:
         return 3, None
-    r = len(coll)
-    locus = True
-    for k in range(1, r + 1):
-        for s in combinations(range(r), k):
-            if generates_group(coll, s) and not generates_full_semigroup(coll, s):
-                locus = False
-                break
-        if not locus:
-            break
+    # both tests read only the set of chosen values: one index per value
+    firsts = [g[0] for g in _value_index_groups(coll)]
+    locus = not any(
+        generates_group(coll, s) and not generates_full_semigroup(coll, s)
+        for k in range(1, len(firsts) + 1)
+        for s in combinations(firsts, k)
+    )
     return 2, locus
 
 
@@ -385,7 +377,7 @@ def classify_pair(coll: ElementCollection) -> ClassificationReport:
         product_parts=_finest_product_partition(coll),
         rank_one_type=rank_one,
         type2_regular_locus=locus,
-        semisimple_shape=semisimple_shape(coll).is_shape,
+        semisimple_shape=_has_shape(coll, _value_index_groups(coll)),
     )
 
 
@@ -394,6 +386,13 @@ class ShapeReport(Record):
     value_groups: tuple[tuple[int, ...], ...]
     coincides_with_maximal: Optional[bool]
     gset: Optional[GSet]
+
+
+def _has_shape(coll: ElementCollection, value_groups: tuple[tuple[int, ...], ...]) -> bool:
+    # every value repeated, and one index per value generates the group
+    return all(len(g) >= 2 for g in value_groups) and generates_group(
+        coll, [g[0] for g in value_groups]
+    )
 
 
 def semisimple_shape(coll: ElementCollection) -> ShapeReport:
@@ -406,11 +405,9 @@ def semisimple_shape(coll: ElementCollection) -> ShapeReport:
     when no single value may be dropped without losing the semigroup.
     """
     value_groups = _value_index_groups(coll)
-    if any(len(g) < 2 for g in value_groups):
+    if not _has_shape(coll, value_groups):
         return ShapeReport(False, value_groups, None, None)
     firsts = [g[0] for g in value_groups]
-    if not generates_group(coll, firsts):
-        return ShapeReport(False, value_groups, None, None)
     r = len(coll)
     members = []
     for k in range(len(value_groups), r + 1):
@@ -433,8 +430,9 @@ def semisimple_shape(coll: ElementCollection) -> ShapeReport:
 def is_big_open_subfan(fan: SimplicialFan, maximal: SimplicialFan) -> bool:
     """Subfan with the full ray set (complement of codimension >= 2).
 
-    The configurations must agree up to a unimodular change of basis.
+    The configurations must agree up to a unimodular change of basis;
+    every fan has a cone for each ray, so the ray sets always agree.
     """
     if not configs_equivalent(fan.config, maximal.config):
         raise ValueError("fans have different configurations")
-    return set(fan.cones) <= set(maximal.cones) and fan.rays == maximal.rays
+    return set(fan.cones) <= set(maximal.cones)

@@ -117,8 +117,11 @@ def _cmd_check(args) -> int:
         )
         return 0 if res.suitable else 1
     if args.action == "fan":
-        fan = jsonio.decode_fan(_read_json(args.input))
-        report = fans.validate_fan(fan)
+        try:
+            jsonio.decode_fan(_read_json(args.input))
+            report = fans.FanReport(True)
+        except InvalidFanError as exc:
+            report = exc.report
         _emit(
             {
                 "valid": report.valid,
@@ -174,9 +177,9 @@ def _cmd_fan(args) -> int:
         _emit(jsonio.encode_fan(fan))
         return 0
     if args.action == "roots":
-        fan = jsonio.decode_fan(_read_json(args.input))
         if args.bound is None or args.bound < 0:
             raise InputFormatError("roots: --bound must be a non-negative integer")
+        fan = jsonio.decode_fan(_read_json(args.input))
         roots = fans.roots_in_box(fan, args.bound)
         _emit({"roots": [jsonio.encode_root(r) for r in roots]})
         return 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from ._record import Record
 from .errors import (
@@ -98,7 +98,12 @@ def cone_key(c: Cone) -> tuple:
 
 class SimplicialFan(Record):
     """Set of cones (index sets) over a configuration; the zero cone is
-    always present."""
+    always present.
+
+    A fan is validated once, here: a cone family that breaks the fan
+    axioms or ray conventions raises ``InvalidFanError`` with the full
+    ``validate_fan`` report, so every consumer may rely on the axioms.
+    """
 
     config: VectorConfiguration
     cones: frozenset[Cone]
@@ -111,6 +116,9 @@ class SimplicialFan(Record):
                 if not 0 <= i < len(self.config):
                     raise ValueError(f"cone index {i} out of range")
         object.__setattr__(self, "cones", frozenset(normal))
+        report = validate_fan(self)
+        if not report.valid:
+            raise InvalidFanError(report)
 
     def sorted_cones(self) -> tuple[Cone, ...]:
         return tuple(sorted(self.cones, key=cone_key))
@@ -292,6 +300,11 @@ def is_suitable(config: VectorConfiguration) -> SuitabilityResult:
     return SuitabilityResult(True, tuple(witnesses), None)
 
 
+def _extends_by(fan: SimplicialFan, zeros: AbstractSet[int], rho: int) -> bool:
+    # condition (R2): every cone inside the zero set stays a cone with rho
+    return all((c | {rho}) in fan.cones for c in fan.cones if c <= zeros)
+
+
 def is_demazure_root(fan: SimplicialFan, root: DemazureRoot) -> bool:
     """Check conditions (R1) and (R2) for a covector against a fan."""
     e = root.covector
@@ -303,23 +316,16 @@ def is_demazure_root(fan: SimplicialFan, root: DemazureRoot) -> bool:
         return False
     if any(pair[j] < 0 for j in fan.config.indices if j != rho):
         return False
-    zeros = {i for i in fan.config.indices if pair[i] == 0}
-    for c in fan.cones:
-        if c <= zeros and (c | {rho}) not in fan.cones:
-            return False
-    return True
+    return _extends_by(fan, {i for i in fan.config.indices if pair[i] == 0}, rho)
 
 
 def roots_in_box(fan: SimplicialFan, bound: int) -> tuple[DemazureRoot, ...]:
     """All Demazure roots with sup-norm at most the bound.
 
-    The fan must validate.  Output is ordered by covector, then ray.
-    The scan visits all (2*bound+1)^rank covectors of the box; past
-    ROOTS_SCAN_CAP of them it raises CapExceededError before scanning.
+    Output is ordered by covector, then ray.  The scan visits all
+    (2*bound+1)^rank covectors of the box; past ROOTS_SCAN_CAP of them
+    it raises CapExceededError before scanning.
     """
-    report = validate_fan(fan)
-    if not report.valid:
-        raise InvalidFanError(report)
     if bound < 0:
         raise ValueError("negative bound")
     n = fan.config.rank
@@ -335,12 +341,14 @@ def roots_in_box(fan: SimplicialFan, bound: int) -> tuple[DemazureRoot, ...]:
     for e in product(range(-bound, bound + 1), repeat=n):
         if all(c == 0 for c in e):
             continue
-        negatives = [i for i in fan.config.indices if dot(fan.config[i], e) < 0]
-        if len(negatives) != 1:
+        pair = [dot(v, e) for v in fan.config.vectors]
+        negatives = [i for i, p in enumerate(pair) if p < 0]
+        # (R1): exactly one negative pairing, and it is -1
+        if len(negatives) != 1 or pair[negatives[0]] != -1:
             continue
-        root = DemazureRoot(tuple(e), negatives[0])
-        if is_demazure_root(fan, root):
-            out.append(root)
+        zeros = {i for i, p in enumerate(pair) if p == 0}
+        if _extends_by(fan, zeros, negatives[0]):
+            out.append(DemazureRoot(tuple(e), negatives[0]))
     return tuple(out)
 
 
@@ -366,12 +374,7 @@ def root_connecting(
     for size in range(len(others) + 1):
         for zs in combinations(others, size):
             zeros = tau | set(zs)
-            ok_r2 = True
-            for c in fan.cones:
-                if c <= zeros and (c | {rho}) not in fan.cones:
-                    ok_r2 = False
-                    break
-            if not ok_r2:
+            if not _extends_by(fan, zeros, rho):
                 continue
             positives = tuple(j for j in others if j not in zeros)
             e = _covector_for_pattern(
@@ -419,12 +422,9 @@ class StrongRegularityResult(Record):
 def is_strongly_regular(fan: SimplicialFan) -> StrongRegularityResult:
     """Is every nonzero cone connected with one of its facets by a root?
 
-    The fan must validate; the certificate lists one (cone, facet, root)
-    triple per nonzero cone.
+    The certificate lists one (cone, facet, root) triple per nonzero
+    cone.
     """
-    report = validate_fan(fan)
-    if not report.valid:
-        raise InvalidFanError(report)
     cert = []
     for c in fan.nonzero_cones():
         hit = None
@@ -448,22 +448,17 @@ def he_connected_pairs(
     the root vanishes on its other rays; the facet is obtained by
     dropping the distinguished ray.
     """
-    report = validate_fan(fan)
-    if not report.valid:
-        raise InvalidFanError(report)
     if not is_demazure_root(fan, root):
         raise InvalidRootError(
             f"covector {list(root.covector)} with ray {root.distinguished_ray + 1}"
             " is not a root of the fan"
         )
     rho = root.distinguished_ray
-    pairs = []
-    for c in fan.nonzero_cones():
-        if rho not in c:
-            continue
-        if all(dot(fan.config[i], root.covector) == 0 for i in c - {rho}):
-            pairs.append((c - {rho}, c))
-    return tuple(sorted(pairs, key=lambda p: cone_key(p[1])))
+    return tuple(
+        (c - {rho}, c)
+        for c in fan.nonzero_cones()
+        if rho in c and all(dot(fan.config[i], root.covector) == 0 for i in c - {rho})
+    )
 
 
 def one_skeleton_strongly_regular(config: VectorConfiguration) -> bool:
@@ -473,12 +468,10 @@ def one_skeleton_strongly_regular(config: VectorConfiguration) -> bool:
     it holds exactly when the rays generate a strictly convex cone and
     each of them is an extreme ray of it: integrality then upgrades the
     supporting covectors to roots, while a non-extreme or non-pointed
-    family leaves some ray with no admissible covector.
+    family leaves some ray with no admissible covector.  Raises
+    ``InvalidFanError`` when the rays alone do not form a fan.
     """
-    fan = one_skeleton_fan(config)
-    report = validate_fan(fan)
-    if not report.valid:
-        raise InvalidFanError(report)
+    one_skeleton_fan(config)
     r = len(config)
     if r <= 2:
         return True

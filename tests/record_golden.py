@@ -7,8 +7,12 @@ strongly-regular`` (on the fan just built), ``classify pair`` and
 messages carry the failing index.  After those come ``gale inverse``
 on every pair, then ``gale inverse`` and ``fan build-max`` on a few
 torsion-free pairs, so the printed relation basis is pinned for both
-kinds of group.  Run from the repository root with the tree to record
-on the path:
+kinds of group.  Last, a cone family whose cones [1, 2] and [1, 4]
+overlap goes through ``check fan`` and every other command that reads
+a fan, which refuses it.  A record may name input files in ``files``
+(file name -> contents); they are written to the working directory
+before the command runs.  Run from the repository root with the tree
+to record on the path:
 
     PYTHONPATH=src python3 tests/record_golden.py > tests/golden_cli.json
 """
@@ -17,7 +21,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import sys
+import tempfile
 from contextlib import redirect_stdout
 
 from galefan import AbelianGroup, ElementCollection, direct_sum_collection
@@ -60,6 +66,12 @@ FREE_PAIRS = {
 }
 
 
+OVERLAPPING_FAN = {
+    "config": {"rank": 2, "vectors": [[1, 0], [0, 1], [-1, -1], [1, 1]]},
+    "cones": [[1], [2], [3], [4], [1, 2], [1, 4]],
+}
+
+
 def run(argv: list[str], stdin: str) -> tuple[str, int]:
     saved, out = sys.stdin, io.StringIO()
     sys.stdin = io.StringIO(stdin)
@@ -74,9 +86,15 @@ def run(argv: list[str], stdin: str) -> tuple[str, int]:
 def record() -> list[dict]:
     cases = []
 
-    def add(name, argv, stdin):
+    def add(name, argv, stdin, files=None):
+        for fname, text in (files or {}).items():
+            with open(fname, "w", encoding="utf-8") as fh:
+                fh.write(text)
         stdout, code = run(argv, stdin)
-        cases.append({"name": name, "argv": argv, "stdin": stdin, "stdout": stdout, "exit": code})
+        case = {"name": name, "argv": argv, "stdin": stdin, "stdout": stdout, "exit": code}
+        if files:
+            case["files"] = files
+        cases.append(case)
         return stdout, code
 
     for name, coll in PAIRS.items():
@@ -92,9 +110,29 @@ def record() -> list[dict]:
         pair = json.dumps(encode_pair(coll))
         add(name, ["gale", "inverse"], pair)
         add(name, ["fan", "build-max"], pair)
+    name = "overlapping cones [1, 2] and [1, 4]"
+    bad = json.dumps(OVERLAPPING_FAN)
+    for argv in (
+        ["check", "fan"],
+        ["check", "strongly-regular"],
+        ["fan", "roots", "--bound", "1"],
+        ["fan", "roots", "--bound", "-1"],
+        ["fan", "connect", "--cone", "1,2", "--facet", "1"],
+        ["fan", "he-pairs", "--covector=-1,0", "--ray", "1"],
+    ):
+        add(name, argv, bad)
+    p2 = json.dumps(encode_pair(FREE_PAIRS["Z (1,1,1)"]))
+    p2_fan, _ = run(["fan", "build-max"], p2)
+    add(name, ["gset", "from-fan", "-f", "fan.json"], p2, {"fan.json": bad})
+    add(name, ["classify", "big-open", "-m", "maximal.json"], bad, {"maximal.json": p2_fan})
+    add(name, ["classify", "big-open", "-m", "maximal.json"], p2_fan, {"maximal.json": bad})
     return cases
 
 
 if __name__ == "__main__":
-    json.dump(record(), sys.stdout, indent=1)
+    # input files go to a scratch working directory, not the repository
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        cases = record()
+    json.dump(cases, sys.stdout, indent=1)
     sys.stdout.write("\n")

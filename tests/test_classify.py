@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from galefan import (
     direct_sum_collection,
     enumerate_connected_gsets,
     generates_full_semigroup,
+    generates_group,
     gset_from_subfan,
     is_big_open_subfan,
     is_connected_gset,
@@ -26,7 +28,7 @@ from galefan import (
     semisimple_shape,
     subfan_from_gset,
 )
-from galefan.classify import _finest_product_partition
+from galefan.classify import _finest_product_partition, _rank_one_type
 
 from conftest import admissible_catalog, all_full_ray_subfans, random_collection
 
@@ -186,14 +188,18 @@ def test_gset_from_subfan_guards():
         gset_from_subfan(coll, other, maximal)
     with pytest.raises(ValueError, match="size"):
         gset_from_subfan(ints(1, 1), maximal, maximal)
-    alien = SimplicialFan(maximal.config, frozenset({frozenset({0, 1, 2})}))
-    with pytest.raises(ValueError, match="subfan"):
-        gset_from_subfan(coll, alien, maximal)
-    no_ray = SimplicialFan(
-        maximal.config, frozenset({frozenset({0}), frozenset({1})})
+    # (1,1,2,3): the maximal fan leaves out the cone of the two weight-1 rays
+    weighted = ints(1, 1, 2, 3)
+    weighted_max = build_maximal_fan(weighted)
+    alien = SimplicialFan(
+        weighted_max.config, frozenset({frozenset({i}) for i in range(4)} | {frozenset({0, 1})})
     )
-    with pytest.raises(ValueError, match="ray set"):
-        gset_from_subfan(coll, no_ray, maximal)
+    with pytest.raises(ValueError, match="subfan"):
+        gset_from_subfan(weighted, alien, weighted_max)
+    # a family without every ray is no fan, so it never reaches the guard
+    with pytest.raises(InvalidFanError) as info:
+        SimplicialFan(maximal.config, frozenset({frozenset({0}), frozenset({1})}))
+    assert [v.code for v in info.value.report.violations] == ["missing-ray-cone"]
 
 
 def test_subfan_from_gset_rejects_non_fans():
@@ -320,6 +326,29 @@ def test_classify_rank_one_types():
         zz, (zz.element((1, 0)), zz.element((1, 0)), zz.element((0, 1)), zz.element((0, 1)))
     )
     assert classify_pair(coll).rank_one_type is None
+
+
+def brute_regular_locus(coll):
+    """Referee: the regular-locus scan over every index subset."""
+    r = len(coll)
+    return not any(
+        generates_group(coll, s) and not generates_full_semigroup(coll, s)
+        for k in range(1, r + 1)
+        for s in combinations(range(r), k)
+    )
+
+
+def test_rank_one_locus_matches_the_full_index_scan():
+    # the locus scans one index per distinct value; repeats are frequent here
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(60):
+        sign = rng.choice((1, -1))
+        coll = ints(*[sign * rng.randint(1, 5) for _ in range(rng.randint(1, 8))])
+        kind, locus = _rank_one_type(coll)
+        assert kind == 2 and locus == brute_regular_locus(coll)
+        seen.add(locus)
+    assert seen == {True, False}
 
 
 def test_classify_product_parts():
@@ -457,8 +486,7 @@ def test_is_big_open_subfan():
         frozenset({frozenset({0}), frozenset({1}), frozenset({2}), frozenset({0, 1})}),
     )
     assert is_big_open_subfan(sub, maximal)
-    missing_ray = SimplicialFan(maximal.config, frozenset({frozenset({0}), frozenset({1})}))
-    assert not is_big_open_subfan(missing_ray, maximal)
+    assert not is_big_open_subfan(maximal, sub)
     other = build_maximal_fan(ints(1, 1))
     with pytest.raises(ValueError):
         is_big_open_subfan(other, maximal)

@@ -31,6 +31,17 @@ P2_SKELETON = {
     "config": {"rank": 2, "vectors": [[-1, -1], [1, 0], [0, 1]]},
     "cones": [[], [1], [2], [3]],
 }
+# not a fan: the cones [1, 2] and [1, 4] overlap, since (1, 1) lies inside the first
+OVERLAPPING_FAN = {
+    "config": {"rank": 2, "vectors": [[1, 0], [0, 1], [-1, -1], [1, 1]]},
+    "cones": [[1], [2], [3], [4], [1, 2], [1, 4]],
+}
+OVERLAPPING_ERROR = {
+    "error": {
+        "type": "invalid-fan",
+        "message": "invalid fan: cones [1, 2] and [1, 4] do not meet in a common face",
+    }
+}
 
 
 @pytest.fixture
@@ -254,6 +265,13 @@ def test_fan_connect(cli, tmp_path):
     assert json.loads(out) == {"connected": False, "root": None}
 
 
+def test_fan_connect_refuses_an_invalid_fan(cli):
+    code, out, _ = cli(
+        ["fan", "connect", "--cone", "1,2", "--facet", "1"], stdin=json.dumps(OVERLAPPING_FAN)
+    )
+    assert (code, json.loads(out)) == (2, OVERLAPPING_ERROR)
+
+
 def test_fan_he_pairs_equals_syntax(cli, tmp_path):
     # the leading minus forces --covector=-1,0 syntax through argparse
     fan = jfile(tmp_path, "fan.json", P2_FAN)
@@ -335,6 +353,20 @@ def test_classify_pair(cli):
     }
 
 
+def test_classify_pair_scans_values_not_indices(cli):
+    # one index per distinct value: Z with 40 copies of 1 scans a single value
+    for n in (16, 40):
+        pair = {"group": {"free_rank": 1, "torsion": []}, "collection": [[1]] * n}
+        start = time.perf_counter()
+        code, out, _ = cli(["classify", "pair"], stdin=json.dumps(pair))
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["product_decomposition"] == [list(range(1, n + 1))]
+        assert payload["complete"] and payload["semisimple_shape"]
+        assert payload["type2_regular_locus"] is True
+
+
 def test_classify_pair_product(cli):
     pair = {
         "group": {"free_rank": 2, "torsion": []},
@@ -368,15 +400,53 @@ def test_classify_semisimple(cli):
 def test_classify_big_open(cli, tmp_path):
     maximal = jfile(tmp_path, "max.json", P2_FAN)
     skeleton = jfile(tmp_path, "skel.json", P2_SKELETON)
+    code, out, _ = cli(["classify", "big-open", "-i", skeleton, "-m", maximal])
+    assert code == 0 and json.loads(out) == {"big_open": True}
+    code, out, _ = cli(["classify", "big-open", "-i", maximal, "-m", skeleton])
+    assert code == 1 and json.loads(out) == {"big_open": False}
+    # a family without the third ray is no fan at all
     partial = jfile(
         tmp_path,
         "partial.json",
         {"config": P2_FAN["config"], "cones": [[], [1], [2]]},
     )
-    code, out, _ = cli(["classify", "big-open", "-i", skeleton, "-m", maximal])
-    assert code == 0 and json.loads(out) == {"big_open": True}
     code, out, _ = cli(["classify", "big-open", "-i", partial, "-m", maximal])
-    assert code == 1 and json.loads(out) == {"big_open": False}
+    assert code == 2 and json.loads(out)["error"]["type"] == "invalid-fan"
+
+
+def test_classify_big_open_refuses_an_invalid_fan(cli, tmp_path):
+    overlapping = jfile(tmp_path, "overlapping.json", OVERLAPPING_FAN)
+    code, out, _ = cli(["classify", "big-open", "-i", overlapping, "-m", overlapping])
+    assert (code, json.loads(out)) == (2, OVERLAPPING_ERROR)
+
+
+def test_every_fan_command_refuses_an_invalid_fan(cli, tmp_path):
+    overlapping = jfile(tmp_path, "overlapping.json", OVERLAPPING_FAN)
+    maximal = jfile(tmp_path, "max.json", P2_FAN)
+    pair = jfile(tmp_path, "pair.json", P2_PAIR)
+    for argv in (
+        ["check", "strongly-regular", "-i", overlapping],
+        ["fan", "roots", "--bound", "1", "-i", overlapping],
+        ["fan", "he-pairs", "--covector=-1,0", "--ray", "1", "-i", overlapping],
+        ["gset", "from-fan", "-i", pair, "-f", overlapping],
+        ["classify", "big-open", "-i", maximal, "-m", overlapping],
+    ):
+        code, out, _ = cli(argv)
+        assert (code, json.loads(out)) == (2, OVERLAPPING_ERROR), argv
+    # check fan reports the family instead of refusing it
+    code, out, _ = cli(["check", "fan", "-i", overlapping])
+    assert code == 1
+    assert out == (
+        '{"valid":false,"violations":[{"code":"bad-intersection","indices":[[1,2],[1,4]],'
+        '"message":"cones [1, 2] and [1, 4] do not meet in a common face"}]}\n'
+    )
+    # a negative bound is refused before the fan is read
+    code, out, _ = cli(["fan", "roots", "--bound", "-1", "-i", overlapping])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "input",
+        "message": "roots: --bound must be a non-negative integer",
+    }
 
 
 def test_fans_in_another_basis_of_the_relations_are_accepted(cli, tmp_path):
@@ -531,9 +601,9 @@ def test_console_script_entry_point():
 
 
 # arbitrary JSON for every command, plus inputs shaped like the
-# command's configuration, pair or fan (coordinate counts agree, so the
-# computation is reached) with about one field in four replaced by
-# arbitrary JSON
+# command's configuration, pair, G-set or fan (coordinate counts agree,
+# so the computation is reached) with about one field in four replaced
+# by arbitrary JSON; a command with two inputs gets one of each
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
@@ -562,27 +632,79 @@ _pairs = st.tuples(st.integers(0, 2), st.lists(st.integers(-1, 6), max_size=2)).
         }
     )
 )
-_fans = _shaped({"config": _configs, "cones": st.lists(st.lists(st.integers(0, 5), max_size=3), max_size=6)})
-_CASES = st.one_of(
-    st.tuples(
-        st.sampled_from([["gale", "transform"], ["check", "admissible"], ["check", "fan"], ["fan", "build-max"]]),
-        _json_values.map(json.dumps) | st.text(max_size=8),
-    ),
-    st.tuples(st.sampled_from([["gale", "transform"], ["check", "suitable"]]), _configs.map(json.dumps)),
-    st.tuples(
-        st.sampled_from(
-            [["gale", "inverse"], ["check", "admissible"], ["fan", "build-max"], ["classify", "pair"]]
-        ),
-        _pairs.map(json.dumps),
-    ),
-    st.tuples(st.just(["check", "fan"]), _fans.map(json.dumps)),
+
+
+def _with_rays(config):
+    # every ray as a cone plus a few larger cones, so that some families are fans
+    vectors = config.get("vectors")
+    n = len(vectors) if isinstance(vectors, list) else 0
+    extra = st.lists(st.lists(st.integers(1, max(n, 1)), min_size=2, max_size=3), max_size=3)
+    return extra.map(lambda cones: {"config": config, "cones": [[i] for i in range(1, n + 1)] + cones})
+
+
+_fans = (
+    _shaped({"config": _configs, "cones": st.lists(st.lists(st.integers(0, 5), max_size=3), max_size=6)})
+    | _configs.flatmap(_with_rays)
+    | st.just(OVERLAPPING_FAN)
 )
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(_CASES)
-def test_arbitrary_stdin_gets_one_json_line(case):
-    argv, payload = case
+def _with_members(pair):
+    # the full index set, which every family needs, plus a few subsets
+    coll = pair.get("collection")
+    full = list(range(1, len(coll) + 1)) if isinstance(coll, list) else []
+    subsets = st.lists(st.lists(st.integers(1, 6), max_size=6), max_size=6)
+    return subsets.map(lambda members: dict(pair, members=[full] + members))
+
+
+_gsets = _pairs.flatmap(_with_members)
+# a command's second input file is named SIDE in its argv
+SIDE = "side.json"
+_ONE_INPUT = {
+    "config": [["gale", "transform"], ["gale", "linear"], ["gale", "canonical"], ["check", "suitable"],
+               ["check", "one-skeleton"]],
+    "pair": [["gale", "inverse"], ["check", "admissible"], ["fan", "build-max"], ["classify", "pair"],
+             ["classify", "semisimple"], ["gset", "enumerate"]],
+    "gset": [["gset", "check"], ["gset", "to-fan"]],
+    "fan": [["check", "fan"], ["check", "strongly-regular"], ["fan", "roots", "--bound", "1"],
+            ["fan", "connect", "--cone", "1,2", "--facet", "1"],
+            ["fan", "he-pairs", "--covector=-1,0", "--ray", "1"]],
+}
+_TWO_INPUTS = [
+    (["gale", "equivalent", "-j", SIDE], "pair", "pair"),
+    (["gset", "from-fan", "-f", SIDE], "pair", "fan"),
+    (["classify", "big-open", "-m", SIDE], "fan", "fan"),
+]
+_SHAPED = {"config": _configs, "pair": _pairs, "gset": _gsets, "fan": _fans}
+_arbitrary = _json_values.map(json.dumps) | st.text(max_size=8)
+_CASES = st.one_of(
+    st.tuples(
+        st.sampled_from([argv for argvs in _ONE_INPUT.values() for argv in argvs] + [t[0] for t in _TWO_INPUTS]),
+        _arbitrary,
+        _arbitrary,
+    ),
+    *[
+        st.tuples(st.sampled_from(argvs), _SHAPED[kind].map(json.dumps), st.just(""))
+        for kind, argvs in _ONE_INPUT.items()
+    ],
+    *[
+        st.tuples(st.just(argv), _SHAPED[first].map(json.dumps), _SHAPED[second].map(json.dumps))
+        for argv, first, second in _TWO_INPUTS
+    ],
+)
+
+
+@pytest.fixture(scope="module")
+def side_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("side")
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(case=_CASES)
+def test_arbitrary_stdin_gets_one_json_line(case, side_dir):
+    argv, payload, side = case
+    (side_dir / SIDE).write_text(side, encoding="utf-8")
+    argv = [str(side_dir / SIDE) if a == SIDE else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(payload)
@@ -598,14 +720,18 @@ def test_arbitrary_stdin_gets_one_json_line(case):
     assert "Traceback" not in err.getvalue()
 
 
-def test_golden_cli_corpus_is_byte_identical(cli):
+def test_golden_cli_corpus_is_byte_identical(cli, tmp_path, monkeypatch):
     # stdout and exit codes of four commands on torsion pairs, recorded
     # by tests/record_golden.py on the boxed membership search that the
-    # Gale-dual covector search replaced, and of gale inverse and
-    # torsion-free fan build-max, which pin the printed relation basis;
-    # re-record only on purpose
+    # Gale-dual covector search replaced, of gale inverse and
+    # torsion-free fan build-max, which pin the printed relation basis,
+    # and of every fan command on overlapping cones; re-record only on
+    # purpose
     corpus = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
-    assert len(corpus) == 54
+    assert len(corpus) == 63
+    monkeypatch.chdir(tmp_path)
     for case in corpus:
+        for name, text in case.get("files", {}).items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
         code, out, _ = cli(case["argv"], stdin=case["stdin"])
         assert (out, code) == (case["stdout"], case["exit"]), (case["name"], case["argv"])

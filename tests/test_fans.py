@@ -7,6 +7,8 @@ from galefan import (
     CapExceededError,
     DegenerateConfigurationError,
     DemazureRoot,
+    FanReport,
+    FanViolation,
     InvalidFanError,
     InvalidRootError,
     SimplicialFan,
@@ -34,6 +36,14 @@ from conftest import random_config
 
 def fan_of(config, *cones):
     return SimplicialFan(config, frozenset(frozenset(c) for c in cones))
+
+
+def report_of(config, *cones):
+    # a cone family that is not a fan raises at construction, carrying its report
+    try:
+        return validate_fan(fan_of(config, *cones))
+    except InvalidFanError as exc:
+        return exc.report
 
 
 def projective_plane():
@@ -69,7 +79,7 @@ def test_configuration_validation():
 
 def test_fan_normalization():
     config = VectorConfiguration(2, ((1, 0), (0, 1)))
-    fan = SimplicialFan(config, frozenset())
+    fan = SimplicialFan(config, frozenset({frozenset({0}), frozenset({1})}))
     assert frozenset() in fan.cones
     with pytest.raises(ValueError):
         SimplicialFan(config, frozenset({frozenset({5})}))
@@ -130,40 +140,41 @@ def codes(report):
 
 def test_validate_fan_violations():
     bad_ray = VectorConfiguration(2, ((2, 0), (0, 1)))
-    report = validate_fan(fan_of(bad_ray, (0,), (1,)))
+    report = report_of(bad_ray, (0,), (1,))
     assert not report.valid and codes(report) == ["nonprimitive-ray"]
 
     dup = VectorConfiguration(2, ((1, 0), (2, 0), (0, 1)))
-    report = validate_fan(fan_of(dup, (0,), (1,), (2,)))
+    report = report_of(dup, (0,), (1,), (2,))
     assert "nonprimitive-ray" in codes(report)
     assert "duplicate-ray-direction" in codes(report)
     assert any(v.code == "duplicate-ray-direction" and v.indices == (0, 1) for v in report.violations)
 
     missing = projective_plane()
-    report = validate_fan(SimplicialFan(missing.config, frozenset({frozenset({0}), frozenset({1})})))
+    report = report_of(missing.config, (0,), (1,))
     assert any(v.code == "missing-ray-cone" and v.indices == (2,) for v in report.violations)
 
     dependent = VectorConfiguration(2, ((1, 0), (0, 1), (-1, -1)))
-    report = validate_fan(fan_of(dependent, (0,), (1,), (2,), (0, 1, 2)))
+    report = report_of(dependent, (0,), (1,), (2,), (0, 1, 2))
     assert "dependent-cone" in codes(report)
 
     gap = VectorConfiguration(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    report = validate_fan(fan_of(gap, (0,), (1,), (2,), (0, 1, 2)))
+    report = report_of(gap, (0,), (1,), (2,), (0, 1, 2))
     assert codes(report) == ["not-face-closed"]
     assert sum(v.code == "not-face-closed" for v in report.violations) == 3
 
     overlap = VectorConfiguration(2, ((1, 0), (0, 1), (1, 1)))
-    report = validate_fan(fan_of(overlap, (0,), (1,), (2,), (0, 1)))
+    report = report_of(overlap, (0,), (1,), (2,), (0, 1))
     assert codes(report) == ["bad-intersection"]
     # only the maximal cones are paired: (2,) against (0, 1), not (0,) or (1,)
     assert [v.indices for v in report.violations] == [((2,), (0, 1))]
 
 
-def all_pairs_separation_failures(fan):
+def all_pairs_separation_failures(config, cones):
     """Reference: every pair of simplicial cones, maximal or not."""
-    config = fan.config
     simplicial = [
-        c for c in fan.sorted_cones() if matrix_rank(config.column_matrix(sorted(c))) == len(c)
+        c
+        for c in sorted(cones | {frozenset()}, key=cone_key)
+        if matrix_rank(config.column_matrix(sorted(c))) == len(c)
     ]
     return {
         (a, b)
@@ -187,9 +198,8 @@ def test_maximal_cone_separation_matches_all_pairs():
                      for f in itertools.combinations(sorted(c), k)}
         if rng.random() < 0.7:
             cones |= {frozenset((i,)) for i in range(r)}
-        fan = SimplicialFan(config, frozenset(cones))
-        report = validate_fan(fan)
-        failures = all_pairs_separation_failures(fan)
+        report = report_of(config, *cones)
+        failures = all_pairs_separation_failures(config, cones)
         others = set(codes(report)) - {"bad-intersection"}
         want = others | ({"bad-intersection"} if failures else set())
         assert set(codes(report)) == want
@@ -201,6 +211,32 @@ def test_maximal_cone_separation_matches_all_pairs():
         seen["bad-intersection"] += bool(failures)
         seen["unclosed"] += "not-face-closed" in others and bool(failures)
     assert all(seen.values()), seen
+
+
+# the cones [1, 2] and [1, 4] overlap: (1, 1) lies inside the first
+OVERLAPPING = (
+    VectorConfiguration(2, ((1, 0), (0, 1), (-1, -1), (1, 1))),
+    ((0,), (1,), (2,), (3,), (0, 1), (0, 3)),
+)
+
+
+def test_a_fan_is_validated_when_it_is_made():
+    config, cones = OVERLAPPING
+    with pytest.raises(InvalidFanError) as info:
+        fan_of(config, *cones)
+    assert info.value.report == FanReport(
+        False,
+        (
+            FanViolation(
+                "bad-intersection",
+                ((0, 1), (0, 3)),
+                "cones [1, 2] and [1, 4] do not meet in a common face",
+            ),
+        ),
+    )
+    assert str(info.value) == "invalid fan: cones [1, 2] and [1, 4] do not meet in a common face"
+    # without the cone [1, 2] it is a fan, and a fan's report is the valid one
+    assert validate_fan(fan_of(config, *cones[:4], cones[5])) == FanReport(True)
 
 
 def test_suitability():
@@ -257,9 +293,8 @@ def test_roots_in_box():
 
     with pytest.raises(ValueError):
         roots_in_box(affine_plane(), -1)
-    broken = fan_of(VectorConfiguration(2, ((2, 0), (0, 1))), (0,), (1,))
     with pytest.raises(InvalidFanError):
-        roots_in_box(broken, 1)
+        fan_of(VectorConfiguration(2, ((2, 0), (0, 1))), (0,), (1,))
 
 
 def test_roots_in_box_scan_cap(monkeypatch):

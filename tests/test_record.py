@@ -28,6 +28,7 @@ from galefan import (
     FanViolation,
     GSet,
     IntMatrix,
+    InvalidFanError,
     LinearSystem,
     Link,
     ShapeReport,
@@ -161,8 +162,11 @@ def test_post_init_normalises_and_validates():
     group = AbelianGroup(1, [2])
     assert group.torsion == (2,) and hash(group) == hash((1, (2,)))
     assert LinearSystem(1, equalities=[([True], 1)]).equalities == (((1,), 1),)
-    fan = SimplicialFan(VectorConfiguration(1, ((1,), (-1,))), [[0]])
-    assert fan.cones == frozenset({frozenset(), frozenset({0})})
+    line = VectorConfiguration(1, ((1,), (-1,)))
+    fan = SimplicialFan(line, [[0], [1]])
+    assert fan.cones == frozenset({frozenset(), frozenset({0}), frozenset({1})})
+    with pytest.raises(InvalidFanError):
+        SimplicialFan(line, [[0]])
     with pytest.raises(ValueError):
         AbelianGroup(-1)
     with pytest.raises(ValueError):
