@@ -11,12 +11,12 @@ exactly from the collection.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, product
 from typing import Optional
 
 from ._record import Record
 from .errors import CapExceededError, InternalError, InvalidFanError, NotAdmissibleError
-from .fans import SimplicialFan, VectorConfiguration, cone_key, is_regular_cone
+from .fans import SimplicialFan, VectorConfiguration, _numbered, cone_key, is_regular_cone
 # unused: perfbench's tracing probe wants this binding until ROADMAP item 2
 from .fans import validate_fan  # noqa: F401
 from .gale import configs_equivalent, inverse_gale_transform
@@ -31,7 +31,7 @@ from .groups import (
     is_admissible,
     semigroup_membership,
 )
-from .linalg import LinearSystem, determinant, IntMatrix, lp_feasible
+from .linalg import LinearSystem, determinant, IntMatrix, lp_feasible, matrix_rank
 
 ENUMERATE_GSETS_CAP = 4
 
@@ -54,10 +54,7 @@ class GSet(Record):
             if not m <= full:
                 raise ValueError("member indices out of range")
             if not generates_full_semigroup(self.collection, m):
-                raise ValueError(
-                    "member %s does not generate the full semigroup"
-                    % [i + 1 for i in sorted(m)]
-                )
+                raise ValueError(f"member {_numbered(m)} does not generate the full semigroup")
 
     def sorted_members(self) -> tuple[frozenset[int], ...]:
         return tuple(sorted(self.members, key=cone_key))
@@ -115,7 +112,7 @@ def build_maximal_fan(coll: ElementCollection) -> SimplicialFan:
         cones.extend(level)
     for cone in cones:
         if not is_regular_cone(config, cone):
-            raise InternalError("cone %s is not regular" % [i + 1 for i in sorted(cone)])
+            raise InternalError(f"cone {_numbered(cone)} is not regular")
     try:
         return SimplicialFan(config, frozenset(cones))
     except InvalidFanError as exc:
@@ -277,22 +274,19 @@ def _is_complete_pair(coll: ElementCollection) -> bool:
 
 
 def _positively_spans(coll: ElementCollection) -> bool:
+    # the free parts span Q^f, and a combination of them with every
+    # coefficient >= 1 vanishes, so each -v_i is a non-negative one
     f = coll.group.free_rank
     if f == 0:
         return True
+    frees = IntMatrix.from_columns([e.free for e in coll], rows=f)
+    if matrix_rank(frees) < f:
+        return False
     r = len(coll)
-    nonneg = tuple((tuple(1 if j == i else 0 for j in range(r)), 0) for i in range(r))
-    for j in range(f):
-        for sign in (1, -1):
-            target = [0] * f
-            target[j] = sign
-            eqs = tuple(
-                (tuple(coll[i].free[row] for i in range(r)), target[row]) for row in range(f)
-            )
-            ok, _ = lp_feasible(LinearSystem(r, equalities=eqs, inequalities=nonneg))
-            if not ok:
-                return False
-    return True
+    eqs = tuple((row, 0) for row in frees.entries)
+    ins = tuple((tuple(int(j == i) for j in range(r)), 1) for i in range(r))
+    ok, _ = lp_feasible(LinearSystem(r, equalities=eqs, inequalities=ins))
+    return ok
 
 
 def _finest_product_partition(coll: ElementCollection) -> tuple[tuple[int, ...], ...]:
@@ -309,19 +303,15 @@ def _finest_product_partition(coll: ElementCollection) -> tuple[tuple[int, ...],
     """
     r = len(coll)
     relations = _relation_basis(coll)
-    zero = coll.group.zero()
     classes = [sum(1 << i for i in g) for g in _value_index_groups(coll) if not coll[g[0]].is_zero]
     classes += [1 << i for i in range(r) if coll[i].is_zero]
 
     def part_closed(mask: int) -> bool:
-        for rel in relations:
-            acc = zero
-            for i in range(r):
-                if mask >> i & 1 and rel[i]:
-                    acc = acc + rel[i] * coll[i]
-            if not acc.is_zero:
-                return False
-        return True
+        part = [i for i in range(r) if mask >> i & 1]
+        return all(
+            coll.group.combination([rel[i] for i in part], coll.take(part)).is_zero
+            for rel in relations
+        )
 
     atoms = [(1 << r) - 1] * r
     for pick in range(1, (1 << len(classes)) - 1):
@@ -401,29 +391,20 @@ def semisimple_shape(coll: ElementCollection) -> ShapeReport:
     The collection has the shape when it splits into value groups of
     multiplicity at least two whose distinct values generate the group.
     The attached family consists of all subcollections meeting every
-    value group; the shape coincides with the maximal object exactly
-    when no single value may be dropped without losing the semigroup.
+    value group, built as the unions of one nonempty subset per group,
+    so the time is proportional to the family's size; the shape
+    coincides with the maximal object exactly when no single value may
+    be dropped without losing the semigroup.
     """
     value_groups = _value_index_groups(coll)
     if not _has_shape(coll, value_groups):
         return ShapeReport(False, value_groups, None, None)
-    firsts = [g[0] for g in value_groups]
-    r = len(coll)
-    members = []
-    for k in range(len(value_groups), r + 1):
-        for s in combinations(range(r), k):
-            chosen = set(s)
-            if all(chosen & set(g) for g in value_groups):
-                members.append(frozenset(s))
-    gset = GSet(coll, frozenset(members))
-    values = [coll[i] for i in firsts]
-    coincides = True
-    for i in range(len(values)):
-        others = tuple(values[j] for j in range(len(values)) if j != i)
-        ok, _ = semigroup_membership(values[i], others)
-        if ok:
-            coincides = False
-            break
+    choices = [[s for k in range(1, len(g) + 1) for s in combinations(g, k)] for g in value_groups]
+    gset = GSet(coll, frozenset(frozenset(chain(*pick)) for pick in product(*choices)))
+    values = [coll[g[0]] for g in value_groups]
+    coincides = not any(
+        semigroup_membership(v, values[:i] + values[i + 1 :])[0] for i, v in enumerate(values)
+    )
     return ShapeReport(True, value_groups, coincides, gset)
 
 

@@ -48,22 +48,6 @@ def _opt_index(i: Optional[int]) -> Optional[int]:
     return None if i is None else i + 1
 
 
-def _parse_index_list(text: str, size: int, what: str) -> frozenset[int]:
-    text = text.strip()
-    if not text:
-        return frozenset()
-    try:
-        raw = [int(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise InputFormatError(f"{what}: expected comma-separated indices") from exc
-    out = set()
-    for v in raw:
-        if not 1 <= v <= size:
-            raise InputFormatError(f"{what}: index {v} out of range 1..{size}")
-        out.add(v - 1)
-    return frozenset(out)
-
-
 def _cmd_gale(args) -> int:
     if args.action == "transform":
         config = jsonio.decode_configuration(_read_json(args.input))
@@ -185,9 +169,12 @@ def _cmd_fan(args) -> int:
         return 0
     if args.action == "connect":
         fan = jsonio.decode_fan(_read_json(args.input))
+        # comma-separated 1-based indices; a blank value is the empty set
         size = len(fan.config)
-        cone = _parse_index_list(args.cone, size, "--cone")
-        facet = _parse_index_list(args.facet, size, "--facet")
+        cone, facet = (
+            jsonio._decode_index_set(text.split(",") if text.strip() else [], size, what)
+            for text, what in ((args.cone, "--cone"), (args.facet, "--facet"))
+        )
         try:
             ok, root = fans.root_connecting(fan, cone, facet)
         except ValueError as exc:

@@ -156,11 +156,7 @@ def is_strictly_convex(config: VectorConfiguration, indices: Iterable[int]) -> b
 
     The empty set gives the zero cone, which is strictly convex.
     """
-    rows = tuple((config[i], 1) for i in sorted(set(indices)))
-    if not rows:
-        return True
-    ok, _ = lp_feasible(LinearSystem(config.rank, inequalities=rows))
-    return ok
+    return _separated(config, frozenset(indices), frozenset())
 
 
 def is_regular_cone(config: VectorConfiguration, indices: Iterable[int]) -> bool:
@@ -194,7 +190,8 @@ def cones_meet_in_common_face(
 
 
 def _separated(config: VectorConfiguration, li: frozenset, ri: frozenset) -> bool:
-    # the LP of cones_meet_in_common_face, for cones known to be simplicial
+    # is some covector 0 on li & ri, >= 1 on the rest of li and <= -1 on
+    # the rest of ri?  On simplicial cones, that is cones_meet_in_common_face
     shared = li & ri
     eqs = tuple((config[i], 0) for i in sorted(shared))
     ins = tuple((config[i], 1) for i in sorted(li - shared)) + tuple(
@@ -468,19 +465,12 @@ def one_skeleton_strongly_regular(config: VectorConfiguration) -> bool:
     it holds exactly when the rays generate a strictly convex cone and
     each of them is an extreme ray of it: integrality then upgrades the
     supporting covectors to roots, while a non-extreme or non-pointed
-    family leaves some ray with no admissible covector.  Raises
-    ``InvalidFanError`` when the rays alone do not form a fan.
+    family leaves some ray with no admissible covector.  Only
+    extremality is tested, one LP per ray (a covector vanishing on the
+    ray and >= 1 on the others): with r >= 3 rays the r covectors sum to
+    one that is >= r - 1 on every ray, so the cone is then pointed.
+    Raises ``InvalidFanError`` when the rays alone do not form a fan.
     """
     one_skeleton_fan(config)
-    r = len(config)
-    if r <= 2:
-        return True
-    if not is_strictly_convex(config, config.indices):
-        return False
-    for i in config.indices:
-        eqs = ((config[i], 0),)
-        ins = tuple((config[j], 1) for j in config.indices if j != i)
-        ok, _ = lp_feasible(LinearSystem(config.rank, equalities=eqs, inequalities=ins))
-        if not ok:
-            return False
-    return True
+    rays = frozenset(config.indices)
+    return len(rays) <= 2 or all(_separated(config, rays, frozenset({i})) for i in config.indices)

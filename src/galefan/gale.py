@@ -10,7 +10,9 @@ rational version replaces the group by the dual of the kernel space.
 
 from __future__ import annotations
 
-from itertools import permutations
+from collections import Counter
+from itertools import chain, permutations, product
+from math import factorial, prod
 
 from .errors import CapExceededError, InternalError, NotGeneratingError
 from .groups import (
@@ -128,61 +130,21 @@ def pairs_equivalent(left: ElementCollection, right: ElementCollection) -> bool:
             "equivalence of non-generating collections is not decided by this routine"
         )
 
-    def value_classes(coll):
-        classes: dict[GroupElement, list[int]] = {}
-        for i, e in enumerate(coll):
-            classes.setdefault(e, []).append(i)
-        return classes
-
-    lclasses = value_classes(left)
-    rclasses = value_classes(right)
-    if sorted(len(v) for v in lclasses.values()) != sorted(len(v) for v in rclasses.values()):
+    lcount = Counter(left)
+    rcount = Counter(right)
+    if sorted(lcount.values()) != sorted(rcount.values()):
         return False
-
-    lvalues = list(lclasses)
-    by_mult: dict[int, list[GroupElement]] = {}
-    for v in rclasses:
-        by_mult.setdefault(len(rclasses[v]), []).append(v)
-
-    candidates = 1
-    for mult, vals in by_mult.items():
-        n = len([v for v in lvalues if len(lclasses[v]) == mult])
-        if n != len(vals):
-            return False
-        for k in range(2, n + 1):
-            candidates *= k
-    if candidates > PAIR_EQUIVALENCE_CANDIDATE_CAP:
+    mults = sorted(set(lcount.values()))
+    lgrouped = [sorted((v for v in lcount if lcount[v] == m), key=GroupElement.lift) for m in mults]
+    rgrouped = [sorted((v for v in rcount if rcount[v] == m), key=GroupElement.lift) for m in mults]
+    if prod(factorial(len(g)) for g in lgrouped) > PAIR_EQUIVALENCE_CANDIDATE_CAP:
         raise CapExceededError("too many candidate bijections between value classes")
 
     relations = _relation_basis(left)
-
-    group_of = {v: len(lclasses[v]) for v in lvalues}
-    mults = sorted(set(group_of.values()))
-    lgrouped = [sorted((v for v in lvalues if group_of[v] == m), key=lambda e: e.lift()) for m in mults]
-    rgrouped = [sorted(by_mult[m], key=lambda e: e.lift()) for m in mults]
-
-    def assignments(level=0, mapping=None):
-        mapping = {} if mapping is None else mapping
-        if level == len(mults):
-            yield dict(mapping)
-            return
-        for perm in permutations(rgrouped[level]):
-            for lv, rv in zip(lgrouped[level], perm):
-                mapping[lv] = rv
-            yield from assignments(level + 1, mapping)
-
-    zero = right.group.zero()
-    for mapping in assignments():
+    lvalues = list(chain(*lgrouped))
+    for perms in product(*(permutations(g) for g in rgrouped)):
+        mapping = dict(zip(lvalues, chain(*perms)))
         images = [mapping[e] for e in left]
-        ok = True
-        for rel in relations:
-            acc = zero
-            for c, img in zip(rel, images):
-                if c != 0:
-                    acc = acc + c * img
-            if not acc.is_zero:
-                ok = False
-                break
-        if ok:
+        if all(right.group.combination(rel, images).is_zero for rel in relations):
             return True
     return False

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from ._record import Record
 from .errors import CapExceededError, InternalError
-from .fans import _covector_for_pattern
+from .fans import _covector_for_pattern, dot
 from .linalg import (
     IntMatrix,
     LinearSystem,
@@ -66,6 +66,20 @@ class AbelianGroup(Record):
 
     def zero(self) -> "GroupElement":
         return self.element((0,) * self.free_rank, (0,) * len(self.torsion))
+
+    def combination(
+        self, coeffs: Iterable[int], elements: Iterable["GroupElement"]
+    ) -> "GroupElement":
+        """The sum of c * e over paired coefficients and elements of this group.
+
+        Coordinates are summed as integers and reduced once, at the end.
+        """
+        total = [0] * self.coords
+        for c, e in zip(coeffs, elements, strict=True):
+            if e.group != self:
+                raise ValueError("element belongs to a different group")
+            total = [t + c * x for t, x in zip(total, e.lift())]
+        return self.element(total[: self.free_rank], total[self.free_rank :])
 
     def generators(self) -> tuple["GroupElement", ...]:
         """Standard generators: free basis vectors, then torsion basis vectors."""
@@ -289,10 +303,7 @@ def _semigroup_membership_cached(
     if not ok:
         return False, None
     coeffs = witness[:r]
-    check = group.zero()
-    for c, g in zip(coeffs, gens):
-        check = check + c * g
-    if check != target:
+    if group.combination(coeffs, gens) != target:
         raise InternalError("membership witness does not sum to the target")
     return True, coeffs
 
@@ -395,10 +406,7 @@ def _in_semigroup_outside(
     u = _covector_for_pattern(dual, k, zeros, outside, 0)
     if u is None:
         return False
-    combination = coll.group.zero()
-    for j in outside:
-        combination = combination + sum(a * b for a, b in zip(dual[j], u)) * coll[j]
-    if combination != target:
+    if coll.group.combination((dot(dual[j], u) for j in outside), coll.take(outside)) != target:
         raise InternalError("dual membership certificate does not sum to the target")
     return True
 
@@ -455,9 +463,7 @@ def is_link(
     if target in sup:
         raise ValueError("support must not contain the target")
     gens = coll.take(sup)
-    residue = coll[target]
-    for g in gens:
-        residue = residue - g
+    residue = coll.group.combination([1] + [-1] * len(sup), coll.take([target, *sup]))
     values = _distinct_values(gens)
     ok, coeffs = semigroup_membership(residue, values)
     if not ok:

@@ -2,17 +2,27 @@
 
 None of these is used by the package itself.  They favour the obvious
 computation over speed: minors by brute force, rank over Fractions,
-matrix products by the definition, and cone separation decided on the
-Gale side instead of the primal side.
+matrix products by the definition, cone separation decided on the
+Gale side instead of the primal side, positive spanning by one LP per
+signed unit vector, shape members by filtering every index subset, and
+pair equivalence by trying every index permutation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Sequence
 
-from galefan import IntMatrix, LinearSystem, determinant, linear_gale_transform, lp_feasible
+from galefan import (
+    IntMatrix,
+    LinearSystem,
+    determinant,
+    integer_kernel,
+    linear_gale_transform,
+    lp_feasible,
+    row_hermite_form,
+)
 from galefan.groups import _relation_columns
 
 
@@ -108,3 +118,63 @@ def cones_meet_by_gale_duality(config, left, right) -> bool:
     )
     ok, _ = lp_feasible(LinearSystem(nvars, equalities=tuple(eqs), inequalities=ins))
     return ok
+
+
+def positively_spans_by_signed_units(coll) -> bool:
+    """Do the free parts positively span Q^f?  Each of the 2f vectors
+    +e_j and -e_j must be a non-negative combination of them, one LP each."""
+    f = coll.group.free_rank
+    r = len(coll)
+    nonneg = tuple((tuple(1 if j == i else 0 for j in range(r)), 0) for i in range(r))
+    for j in range(f):
+        for sign in (1, -1):
+            eqs = tuple(
+                (tuple(e.free[row] for e in coll), sign if row == j else 0) for row in range(f)
+            )
+            ok, _ = lp_feasible(LinearSystem(r, equalities=eqs, inequalities=nonneg))
+            if not ok:
+                return False
+    return True
+
+
+def shape_members_by_subset_filter(coll) -> frozenset:
+    """Every index subset that meets each class of equal values, found
+    by filtering all 2^r subsets."""
+    classes: dict = {}
+    for i, e in enumerate(coll):
+        classes.setdefault(e, set()).add(i)
+    r = len(coll)
+    return frozenset(
+        frozenset(s)
+        for k in range(r + 1)
+        for s in combinations(range(r), k)
+        if all(cls & set(s) for cls in classes.values())
+    )
+
+
+def _relation_lattice(elements, group) -> tuple:
+    # Hermite form of the lattice of x with sum x_i * elements[i] = 0
+    r = len(elements)
+    cols = [e.lift() for e in elements] + _relation_columns(group)
+    kernel = integer_kernel(IntMatrix.from_columns(cols, rows=group.coords))
+    if not kernel:
+        return ()
+    _, h = row_hermite_form(IntMatrix(tuple(vec[:r] for vec in kernel), cols=r))
+    return tuple(row for row in h.entries if any(row))
+
+
+def pairs_equivalent_by_permutations(left, right) -> bool:
+    """Equivalence of two generating collections by brute force.
+
+    An isomorphism carrying left[i] to right[p(i)] exists exactly when
+    the relation lattice of left equals that of right reordered by p,
+    since each collection presents its group as Z^r modulo its
+    relations.  Every index permutation is tried.
+    """
+    if left.group != right.group or len(left) != len(right):
+        return False
+    want = _relation_lattice(left.elements, left.group)
+    return any(
+        _relation_lattice(order, right.group) == want
+        for order in set(permutations(right.elements))
+    )

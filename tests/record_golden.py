@@ -9,7 +9,13 @@ on every pair, then ``gale inverse`` and ``fan build-max`` on a few
 torsion-free pairs, so the printed relation basis is pinned for both
 kinds of group.  Last, a cone family whose cones [1, 2] and [1, 4]
 overlap goes through ``check fan`` and every other command that reads
-a fan, which refuses it.  A record may name input files in ``files``
+a fan, which refuses it.  Then come ``classify semisimple`` on a shape
+with torsion, a torsion-free shape and a non-shape; ``gale
+equivalent`` on an equivalent and an inequivalent pair of pairs (the
+second read with ``-j``); ``check one-skeleton`` on pointed ray sets
+with r >= 3 (all rays extreme, and one ray inside), a non-pointed one
+and one with r = 2; and ``classify pair`` on torsion-free pairs that
+are quasiaffine and that are not.  A record may name input files in ``files``
 (file name -> contents); they are written to the working directory
 before the command runs.  Run from the repository root with the tree
 to record on the path:
@@ -63,6 +69,48 @@ FREE_PAIRS = {
     "Z (1,1,1)": _ints(1, 1, 1),
     "Z (1,1,2,3)": _ints(1, 1, 2, 3),
     "Z^2 (1,0),(1,0),(0,1),(0,1),(1,1)": _coll(2, (), (1, 0), (1, 0), (0, 1), (0, 1), (1, 1)),
+}
+
+
+SHAPE_PAIRS = {
+    "shape with torsion: Z/2+Z/2 (1,0),(1,0),(0,1),(0,1),(1,1),(1,1)": _coll(
+        0, (2, 2), (1, 0), (1, 0), (0, 1), (0, 1), (1, 1), (1, 1)
+    ),
+    "torsion-free shape: Z (2,3,2,3,3)": _ints(2, 3, 2, 3, 3),
+    "not a shape: Z (1,1,2,3)": _ints(1, 1, 2, 3),
+}
+
+EQUIVALENCE_PAIRS = {
+    "equivalent by doubling: Z/5 (1,1,2,3) and Z/5 (2,4,2,1)": (
+        _cyclic(5, 1, 1, 2, 3),
+        _cyclic(5, 2, 4, 2, 1),
+    ),
+    "not equivalent: Z (1,1,2,3) and Z (1,1,2,-3)": (_ints(1, 1, 2, 3), _ints(1, 1, 2, -3)),
+}
+
+SKELETONS = {
+    "pointed, r = 3": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    "pointed, r = 4": ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)),
+    "pointed, ray 3 inside the cone of rays 1 and 2": ((1, 0), (0, 1), (1, 1)),
+    "not pointed: (1,0),(0,1),(-1,-1)": ((1, 0), (0, 1), (-1, -1)),
+    "r = 2: (1),(-1)": ((1,), (-1,)),
+}
+
+QUASIAFFINE_PAIRS = {
+    "quasiaffine: Z (1,1,-1,-1,2)": _ints(1, 1, -1, -1, 2),
+    "quasiaffine: Z^2 (1,0),(1,0),(0,1),(0,1),(-1,-1),(-1,-1)": _coll(
+        2, (), (1, 0), (1, 0), (0, 1), (0, 1), (-1, -1), (-1, -1)
+    ),
+    "quasiaffine: Z^3 (1,0,0),(0,1,0),(0,0,1),(-1,-1,-1), each twice": _coll(
+        3, (), *[v for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)) for _ in range(2)]
+    ),
+    "not quasiaffine: Z (1,1,2,3)": _ints(1, 1, 2, 3),
+    "not quasiaffine: Z^2 (1,0),(1,0),(0,1),(0,1),(1,1)": _coll(
+        2, (), (1, 0), (1, 0), (0, 1), (0, 1), (1, 1)
+    ),
+    "not quasiaffine: Z^2 (1,0),(1,0),(0,1),(0,1),(-1,0),(-1,0),(0,0)": _coll(
+        2, (), (1, 0), (1, 0), (0, 1), (0, 1), (-1, 0), (-1, 0), (0, 0)
+    ),
 }
 
 
@@ -126,6 +174,16 @@ def record() -> list[dict]:
     add(name, ["gset", "from-fan", "-f", "fan.json"], p2, {"fan.json": bad})
     add(name, ["classify", "big-open", "-m", "maximal.json"], bad, {"maximal.json": p2_fan})
     add(name, ["classify", "big-open", "-m", "maximal.json"], p2_fan, {"maximal.json": bad})
+    for name, coll in SHAPE_PAIRS.items():
+        add(name, ["classify", "semisimple"], json.dumps(encode_pair(coll)))
+    for name, (left, right) in EQUIVALENCE_PAIRS.items():
+        other = {"other.json": json.dumps(encode_pair(right))}
+        add(name, ["gale", "equivalent", "-j", "other.json"], json.dumps(encode_pair(left)), other)
+    for name, vectors in SKELETONS.items():
+        config = {"rank": len(vectors[0]), "vectors": [list(v) for v in vectors]}
+        add(name, ["check", "one-skeleton"], json.dumps(config))
+    for name, coll in QUASIAFFINE_PAIRS.items():
+        add(name, ["classify", "pair"], json.dumps(encode_pair(coll)))
     return cases
 
 

@@ -28,9 +28,10 @@ from galefan import (
     semisimple_shape,
     subfan_from_gset,
 )
-from galefan.classify import _finest_product_partition, _rank_one_type
+from galefan.classify import _finest_product_partition, _positively_spans, _rank_one_type
 
 from conftest import admissible_catalog, all_full_ray_subfans, random_collection
+from oracles import positively_spans_by_signed_units, shape_members_by_subset_filter
 
 Z = AbelianGroup(1, ())
 TRIV = AbelianGroup(0, ())
@@ -310,6 +311,19 @@ def test_classify_quasiaffine():
     assert classify_pair(cyc3(1, 1)).quasiaffine
 
 
+def test_positive_spanning_matches_the_signed_unit_lps():
+    # rank f plus one LP against 2f LPs, non-generating collections included
+    rng = random.Random(4242)
+    seen = set()
+    for _ in range(1000):
+        group = AbelianGroup(rng.randint(0, 3), rng.choice([(), (2,), (3,)]))
+        coll = random_collection(rng, group, rng.randint(0, 7), height=rng.choice((1, 2, 3)))
+        got = _positively_spans(coll)
+        assert got == positively_spans_by_signed_units(coll), coll
+        seen.add((group.free_rank, got))
+    assert seen == {(0, True)} | {(f, a) for f in (1, 2, 3) for a in (True, False)}
+
+
 def test_classify_rank_one_types():
     assert classify_pair(ints(1, 1, -1, -1)).rank_one_type == 1
     r2 = classify_pair(ints(1, 1, 2, 3))
@@ -466,6 +480,45 @@ def test_semisimple_shape_torsion():
     assert len(rep.gset.members) == 27
     assert rep.coincides_with_maximal is False
     assert is_connected_gset(rep.gset).connected
+
+
+def test_shape_members_match_the_subset_filter():
+    rng = random.Random(909)
+    groups = [
+        Z,
+        AbelianGroup(2, ()),
+        AbelianGroup(0, (2,)),
+        AbelianGroup(0, (4,)),
+        AbelianGroup(1, (2,)),
+        AbelianGroup(0, (2, 2)),
+    ]
+    shapes = torsion = zeros = 0
+    for _ in range(300):
+        group = rng.choice(groups)
+        values = {group.zero()} if rng.random() < 0.4 else set()
+        for _ in range(rng.randint(1, 4)):
+            values.add(
+                group.element(
+                    [rng.randint(-2, 2) for _ in range(group.free_rank)],
+                    [rng.randrange(d) for d in group.torsion],
+                )
+            )
+        elements = []
+        for v in values:
+            elements += [v] * rng.choice((1, 2, 2, 3))
+        if len(elements) > 8:
+            continue
+        rng.shuffle(elements)
+        coll = ElementCollection(group, tuple(elements))
+        rep = semisimple_shape(coll)
+        if not rep.is_shape:
+            assert rep.gset is None
+            continue
+        assert rep.gset.members == shape_members_by_subset_filter(coll)
+        shapes += 1
+        torsion += bool(group.torsion)
+        zeros += any(e.is_zero for e in coll)
+    assert shapes >= 40 and torsion >= 20 and zeros >= 10
 
 
 def test_shape_gset_members_hit_every_value_group():

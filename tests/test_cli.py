@@ -265,6 +265,13 @@ def test_fan_connect(cli, tmp_path):
     assert json.loads(out) == {"connected": False, "root": None}
 
 
+def test_fan_connect_refuses_a_repeated_index(cli, tmp_path):
+    fan = jfile(tmp_path, "fan.json", P2_FAN)
+    code, out, _ = cli(["fan", "connect", "-i", fan, "--cone", "1,1,2", "--facet", "1"])
+    assert code == 2
+    assert json.loads(out) == {"error": {"type": "input", "message": "--cone: repeated index"}}
+
+
 def test_fan_connect_refuses_an_invalid_fan(cli):
     code, out, _ = cli(
         ["fan", "connect", "--cone", "1,2", "--facet", "1"], stdin=json.dumps(OVERLAPPING_FAN)
@@ -725,10 +732,11 @@ def test_golden_cli_corpus_is_byte_identical(cli, tmp_path, monkeypatch):
     # by tests/record_golden.py on the boxed membership search that the
     # Gale-dual covector search replaced, of gale inverse and
     # torsion-free fan build-max, which pin the printed relation basis,
-    # and of every fan command on overlapping cones; re-record only on
-    # purpose
+    # of every fan command on overlapping cones, and of classify
+    # semisimple, gale equivalent, check one-skeleton and torsion-free
+    # classify pair; re-record only on purpose
     corpus = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
-    assert len(corpus) == 63
+    assert len(corpus) == 79
     monkeypatch.chdir(tmp_path)
     for case in corpus:
         for name, text in case.get("files", {}).items():

@@ -21,7 +21,7 @@ from galefan import (
 from galefan.linalg import IntMatrix, determinant, matrix_rank
 
 from conftest import random_config, random_generating_collection, random_group
-from oracles import cones_meet_by_gale_duality
+from oracles import cones_meet_by_gale_duality, pairs_equivalent_by_permutations
 
 
 def ints(*vals):
@@ -222,6 +222,48 @@ def test_pairs_equivalent_under_automorphisms():
         perm = list(moved)
         rng.shuffle(perm)
         assert pairs_equivalent(coll, ElementCollection(group, tuple(perm)))
+
+
+def test_pairs_equivalent_matches_the_permutation_search():
+    # the right side is an automorphic image of the left one, shuffled,
+    # with one element redrawn half of the time
+    rng = random.Random(73)
+    groups = [
+        AbelianGroup(1, ()),
+        AbelianGroup(2, ()),
+        AbelianGroup(0, (4,)),
+        AbelianGroup(0, (5,)),
+        AbelianGroup(0, (6,)),
+        AbelianGroup(1, (2,)),
+    ]
+    answers = []
+    while len(answers) < 120:
+        group = rng.choice(groups)
+        left = random_generating_collection(rng, group, rng.randint(1, 6), height=2)
+        if left is None:
+            continue
+        f = group.free_rank
+        u = random_unimodular(rng, f) if f else None
+        d = group.torsion[0] if group.torsion else 1
+        unit = rng.choice([k for k in range(1, d + 1) if _coprime(k, d)])
+        shear = rng.randint(0, 1)
+        moved = []
+        for e in left:
+            free = u.apply(e.free) if f else ()
+            tors = [unit * e.torsion[0] + (shear * e.free[0] if f else 0)] if group.torsion else []
+            moved.append(group.element(free, tors))
+        if rng.random() < 0.5:
+            moved[rng.randrange(len(moved))] = group.element(
+                [rng.randint(-2, 2) for _ in range(f)], [rng.randrange(t) for t in group.torsion]
+            )
+        rng.shuffle(moved)
+        right = ElementCollection(group, tuple(moved))
+        if not generates_group(right):
+            continue
+        expected = pairs_equivalent_by_permutations(left, right)
+        assert pairs_equivalent(left, right) == expected, (left, right)
+        answers.append(expected)
+    assert answers.count(True) >= 40 and answers.count(False) >= 30
 
 
 def _coprime(a, b):
