@@ -356,9 +356,11 @@ def root_connecting(
 
     Such a root pairs to -1 with the ray missing from the facet,
     vanishes on the facet, and is non-negative elsewhere.  The search
-    enumerates the possible zero sets among the remaining rays, checks
-    condition (R2) combinatorially for each, and then asks an integer
-    feasibility question for the covector.
+    enumerates the possible zero sets among the remaining rays, from the
+    largest down, checks condition (R2) combinatorially for each, and
+    then asks an integer feasibility question for the covector.  Larger
+    zero sets leave fewer unknowns, and whether a root exists does not
+    depend on the order; the root returned has a largest zero set.
     """
     sigma = frozenset(int(i) for i in cone)
     tau = frozenset(int(i) for i in facet)
@@ -368,7 +370,7 @@ def root_connecting(
         raise ValueError("second argument is not a facet of the first")
     (rho,) = sigma - tau
     others = [i for i in fan.config.indices if i not in sigma]
-    for size in range(len(others) + 1):
+    for size in range(len(others), -1, -1):
         for zs in combinations(others, size):
             zeros = tau | set(zs)
             if not _extends_by(fan, zeros, rho):

@@ -475,11 +475,16 @@ def ilp_feasible(system: LinearSystem) -> tuple[bool, Optional[Vector]]:
     """Exact feasibility of a linear system over the integers.
 
     Equalities are eliminated through the Smith form, which also detects
-    lattice obstructions.  Remaining inequalities are strengthened by
-    row gcds and by converting forced-tight rows to equalities, then
-    searched by branch and bound over exact LP relaxations inside an
-    a-priori solution box.  Raises CapExceededError if the node budget
-    runs out (never observed at the scales this package targets).
+    lattice obstructions, and each remaining inequality is divided by
+    its row gcd.  When one unknown t is left, every row reads t >= b or
+    -t >= b, so the answer is the integer interval [max b, min -b]: no
+    LP is asked, and the witness is the point of the interval nearest
+    zero.  With more unknowns, rows forced tight are turned into
+    equalities, then the rest is searched by branch and bound over
+    exact LP relaxations inside an a-priori solution box.  Raises
+    CapExceededError if the node budget runs out; some systems with 3
+    or 4 unknowns from admissibility questions with torsion dive towards
+    the box wall, where the cap is about 18 minutes of LPs away.
     """
     n = system.n_vars
     offset: Vector = (0,) * n
@@ -524,6 +529,15 @@ def ilp_feasible(system: LinearSystem) -> tuple[bool, Optional[Vector]]:
         ineqs = cleaned
         if not ineqs:
             return True, to_x((0,) * k)
+        if k == 1:
+            # after the gcd division every row reads t >= b or -t >= b
+            lows = [rhs for (c,), rhs in ineqs if c > 0]
+            t = min([max([0] + lows)] + [-rhs for (c,), rhs in ineqs if c < 0])
+            if lows and t < max(lows):
+                return False, None
+            x = to_x((t,))
+            _check_witness(system, x)
+            return True, x
 
         base = LinearSystem(k, inequalities=tuple(ineqs))
         ok, _ = lp_feasible(base)

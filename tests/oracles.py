@@ -4,8 +4,9 @@ None of these is used by the package itself.  They favour the obvious
 computation over speed: minors by brute force, rank over Fractions,
 matrix products by the definition, cone separation decided on the
 Gale side instead of the primal side, positive spanning by one LP per
-signed unit vector, shape members by filtering every index subset, and
-pair equivalence by trying every index permutation.
+signed unit vector, shape members by filtering every index subset,
+pair equivalence by trying every index permutation, and connecting
+roots by trying zero sets from the smallest up.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from itertools import combinations, permutations
 from typing import Sequence
 
 from galefan import (
+    DemazureRoot,
     IntMatrix,
     LinearSystem,
     determinant,
@@ -23,6 +25,7 @@ from galefan import (
     lp_feasible,
     row_hermite_form,
 )
+from galefan.fans import _covector_for_pattern, _extends_by
 from galefan.groups import _relation_columns
 
 
@@ -178,3 +181,22 @@ def pairs_equivalent_by_permutations(left, right) -> bool:
         _relation_lattice(order, right.group) == want
         for order in set(permutations(right.elements))
     )
+
+
+def root_connecting_ascending(fan, cone, facet):
+    """A root connecting the cone with its facet, or None: zero sets among
+    the rays outside the cone are tried from the smallest up, the order
+    ``root_connecting`` searched in before it went from the largest down.
+    Whether a root exists does not depend on the order."""
+    (rho,) = frozenset(cone) - frozenset(facet)
+    others = [i for i in fan.config.indices if i not in cone]
+    for size in range(len(others) + 1):
+        for zs in combinations(others, size):
+            zeros = frozenset(facet) | set(zs)
+            if not _extends_by(fan, zeros, rho):
+                continue
+            positives = tuple(j for j in others if j not in zeros)
+            e = _covector_for_pattern(fan.config.vectors, rho, tuple(sorted(zeros)), positives, 1)
+            if e is not None:
+                return DemazureRoot(e, rho)
+    return None

@@ -730,7 +730,9 @@ def test_arbitrary_stdin_gets_one_json_line(case, side_dir):
 def test_golden_cli_corpus_is_byte_identical(cli, tmp_path, monkeypatch):
     # stdout and exit codes of four commands on torsion pairs, recorded
     # by tests/record_golden.py on the boxed membership search that the
-    # Gale-dual covector search replaced, of gale inverse and
+    # Gale-dual covector search replaced (the roots in the strongly
+    # regular certificates were re-recorded when root_connecting began
+    # to search zero sets from the largest down), of gale inverse and
     # torsion-free fan build-max, which pin the printed relation basis,
     # of every fan command on overlapping cones, and of classify
     # semisimple, gale equivalent, check one-skeleton and torsion-free

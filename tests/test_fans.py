@@ -4,17 +4,22 @@ import random
 import pytest
 
 from galefan import (
+    AbelianGroup,
     CapExceededError,
     DegenerateConfigurationError,
     DemazureRoot,
+    ElementCollection,
     FanReport,
     FanViolation,
     InvalidFanError,
     InvalidRootError,
     SimplicialFan,
     VectorConfiguration,
+    build_maximal_fan,
     cone_key,
     cones_meet_in_common_face,
+    direct_sum_collection,
+    is_admissible,
     is_demazure_root,
     is_primitive,
     is_regular_cone,
@@ -29,9 +34,11 @@ from galefan import (
     validate_fan,
 )
 import galefan.fans as fans_module
+import galefan.linalg as linalg_module
 from galefan.fans import dot
 
-from conftest import random_config
+from conftest import admissible_catalog, random_config, random_generating_collection
+from oracles import root_connecting_ascending
 
 
 def fan_of(config, *cones):
@@ -337,6 +344,96 @@ def test_is_strongly_regular():
     res2 = is_strongly_regular(skeleton)
     assert not res2.strongly_regular
     assert res2.failing_cone in skeleton.nonzero_cones()
+
+
+def connects(fan, cone, facet, root) -> bool:
+    # (R1) and (R2) from the definition: -1 on the ray missing from the
+    # facet, 0 on the facet, >= 0 elsewhere, and every cone inside the
+    # zero set stays a cone together with that ray
+    (rho,) = cone - facet
+    pairing = [dot(v, root.covector) for v in fan.config.vectors]
+    zeros = {i for i, p in enumerate(pairing) if p == 0}
+    return (
+        root.distinguished_ray == rho
+        and pairing[rho] == -1
+        and all(p >= 0 for i, p in enumerate(pairing) if i != rho)
+        and facet <= zeros
+        and all(c | {rho} in fan.cones for c in fan.cones if c <= zeros)
+    )
+
+
+def small_fans(rng, count):
+    """Maximal fans of small admissible pairs, each also with a random
+    nonempty set of its maximal cones of dimension >= 2 removed (every
+    ray stays a cone of a fan)."""
+    groups = [AbelianGroup(1, ()), AbelianGroup(0, (2,)), AbelianGroup(0, (3,)),
+              AbelianGroup(1, (2,)), AbelianGroup(2, ())]
+    colls = admissible_catalog()
+    while len(colls) < count:
+        coll = random_generating_collection(rng, rng.choice(groups), rng.randint(3, 5), height=2)
+        if coll is not None and is_admissible(coll).admissible:
+            colls.append(coll)
+    out = []
+    for coll in colls:
+        fan = build_maximal_fan(coll)
+        out.append(fan)
+        tops = [c for c in fan.sorted_cones() if len(c) > 1 and not any(c < d for d in fan.cones)]
+        if not tops:
+            continue
+        drop = set(rng.sample(tops, rng.randint(1, len(tops))))
+        out.append(SimplicialFan(fan.config, frozenset(c for c in fan.cones if c not in drop)))
+    return out
+
+
+def test_root_search_from_largest_zero_set_keeps_every_verdict():
+    # the largest-first search against the smallest-first referee: the
+    # same verdict on every (cone, facet), so the same failing cone and
+    # certificate facets, and a root with a zero set at least as large
+    rng = random.Random(41)
+    seen = {True: 0, False: 0}
+    for fan in small_fans(rng, 40):
+        first_facets = {}
+        for c in fan.nonzero_cones():
+            for i in sorted(c):
+                ok, root = root_connecting(fan, c, c - {i})
+                ref = root_connecting_ascending(fan, c, c - {i})
+                assert ok == (ref is not None) and ok == (root is not None)
+                if ok:
+                    assert connects(fan, c, c - {i}, root)
+                    assert connects(fan, c, c - {i}, ref)
+                    zeros = sum(dot(v, root.covector) == 0 for v in fan.config.vectors)
+                    assert zeros >= sum(dot(v, ref.covector) == 0 for v in fan.config.vectors)
+                    first_facets.setdefault(c, c - {i})
+        res = is_strongly_regular(fan)
+        failing = [c for c in fan.nonzero_cones() if c not in first_facets]
+        assert res.strongly_regular == (not failing)
+        assert res.failing_cone == (failing[0] if failing else None)
+        assert {c: f for c, f, _ in res.certificate} == (first_facets if not failing else {})
+        seen[res.strongly_regular] += 1
+    assert seen[True] and seen[False]
+
+
+def test_strong_regularity_of_small_maximal_fans_needs_no_lp(monkeypatch):
+    # Z(1,1,1), Z/2(1,1) + Z/3(1,1) and Z/4(1,1) + Z/2(1,1): every root
+    # pattern of their maximal fans leaves at most one unknown
+    def ones(free_rank, torsion, r):
+        group = AbelianGroup(free_rank, torsion)
+        one = group.element((1,) * free_rank, (1,) * len(torsion))
+        return ElementCollection(group, (one,) * r)
+
+    fans = [
+        build_maximal_fan(ones(1, (), 3)),
+        build_maximal_fan(direct_sum_collection(ones(0, (2,), 2), ones(0, (3,), 2))),
+        build_maximal_fan(direct_sum_collection(ones(0, (4,), 2), ones(0, (2,), 2))),
+    ]
+
+    def no_lp(system):
+        raise AssertionError("an LP was asked")
+
+    fans_module._covector_for_pattern.cache_clear()
+    monkeypatch.setattr(linalg_module, "lp_feasible", no_lp)
+    for fan in fans:
+        assert is_strongly_regular(fan).strongly_regular
 
 
 def test_he_connected_pairs():

@@ -19,6 +19,8 @@ from galefan import (
     solve_diophantine,
 )
 
+import galefan.linalg as linalg_module
+
 from oracles import fraction_rank, identity, matmul, max_minor_bound
 
 matrices = st.integers(1, 4).flatmap(
@@ -284,6 +286,64 @@ def test_ilp_agrees_with_brute_force():
             assert all(
                 sum(r * x for r, x in zip(row, witness)) >= rhs for row, rhs in ins
             )
+
+
+def one_unknown_systems(rng, count):
+    """Random systems that keep one unknown after the equalities are
+    eliminated: n = 1 without equalities, or n = 2-3 with n - 1
+    independent ones."""
+    out = []
+    while len(out) < count:
+        n = rng.choice((1, 1, 2, 3))
+        eqs = tuple(
+            (tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(-5, 5)) for _ in range(n - 1)
+        )
+        if eqs and matrix_rank(IntMatrix(tuple(row for row, _ in eqs), cols=n)) < n - 1:
+            continue
+        ins = tuple(
+            (tuple(rng.randint(-4, 4) for _ in range(n)), rng.randint(-6, 6))
+            for _ in range(rng.randint(0, 4))
+        )
+        out.append(LinearSystem(n, equalities=eqs, inequalities=ins))
+    return out
+
+
+def satisfies(system, x) -> bool:
+    return all(
+        sum(r * v for r, v in zip(row, x)) == rhs for row, rhs in system.equalities
+    ) and all(sum(r * v for r, v in zip(row, x)) >= rhs for row, rhs in system.inequalities)
+
+
+def test_ilp_with_one_unknown_agrees_with_brute_force():
+    rng = random.Random(59)
+    seen = {(n, ok): 0 for n in (1, 2) for ok in (True, False)}
+    for system in one_unknown_systems(rng, 400):
+        ok, witness = ilp_feasible(system)
+        if system.n_vars == 1:
+            # the interval's ends are right-hand sides, so this radius is exact
+            radius = max([abs(rhs) for _, rhs in system.inequalities] + [0])
+            near = [(t,) for t in sorted(range(-radius, radius + 1), key=abs)]
+            feasible = [x for x in near if satisfies(system, x)]
+            assert ok == bool(feasible)
+            # closest to zero; on a tie the interval would hold zero
+            assert witness == (feasible[0] if feasible else None)
+        else:
+            brute = brute_force_ilp(system, 6)
+            assert ok or brute is None
+            assert not ok or satisfies(system, witness)
+        seen[min(system.n_vars, 2), ok] += 1
+    assert all(seen.values())
+
+
+def test_ilp_with_one_unknown_asks_no_lp(monkeypatch):
+    def no_lp(system):
+        raise AssertionError("an LP was asked")
+
+    rng = random.Random(61)
+    systems = one_unknown_systems(rng, 200)
+    want = [ilp_feasible(system) for system in systems]
+    monkeypatch.setattr(linalg_module, "lp_feasible", no_lp)
+    assert [ilp_feasible(system) for system in systems] == want
 
 
 def test_ilp_integer_gaps():
