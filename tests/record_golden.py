@@ -15,7 +15,15 @@ equivalent`` on an equivalent and an inequivalent pair of pairs (the
 second read with ``-j``); ``check one-skeleton`` on pointed ray sets
 with r >= 3 (all rays extreme, and one ray inside), a non-pointed one
 and one with r = 2; and ``classify pair`` on torsion-free pairs that
-are quasiaffine and that are not.  A record may name input files in ``files``
+are quasiaffine and that are not.  Last come the commands no record
+above reaches: ``gale transform|linear|canonical``, ``check suitable``
+on a suitable and an unsuitable configuration, ``gset check`` on a
+connected G-set and on one failing each of C1, C2 and C3, ``gset
+to-fan`` on a G-set and on a collection that does not generate its
+group (a ``precondition`` envelope), and ``gset enumerate`` on a pair
+and on five elements, past the enumeration cap (exit 3); then every
+fan command on the maximal fan of Z (1,1,1) and its one-skeleton, so
+that each yes/no command has a positive and a negative record.  A record may name input files in ``files``
 (file name -> contents); they are written to the working directory
 before the command runs.  Run from the repository root with the tree
 to record on the path:
@@ -114,6 +122,53 @@ QUASIAFFINE_PAIRS = {
 }
 
 
+P2_CONFIG = {"rank": 2, "vectors": [[-1, -1], [1, 0], [0, 1]]}
+P2_PAIR = {"group": {"free_rank": 1, "torsion": []}, "collection": [[1], [1], [1]]}
+Z4_PAIR = {"group": {"free_rank": 1, "torsion": []}, "collection": [[1], [1], [1], [1]]}
+
+REMAINING = [
+    ("P2 rays", ["gale", "transform"], P2_CONFIG),
+    ("torsion Z/2: (1,0),(1,2)", ["gale", "transform"], {"rank": 2, "vectors": [[1, 0], [1, 2]]}),
+    ("P2 rays", ["gale", "linear"], P2_CONFIG),
+    ("zero-dimensional: (1,0),(1,2)", ["gale", "linear"], {"rank": 2, "vectors": [[1, 0], [1, 2]]}),
+    ("(1,2),(1,0),(2,2)", ["gale", "canonical"], {"rank": 2, "vectors": [[1, 2], [1, 0], [2, 2]]}),
+    ("suitable: (1,0),(2,3)", ["check", "suitable"], {"rank": 2, "vectors": [[1, 0], [2, 3]]}),
+    ("not suitable: (2)", ["check", "suitable"], {"rank": 1, "vectors": [[2]]}),
+    (
+        "connected: Z (1,1,1)",
+        ["gset", "check"],
+        dict(P2_PAIR, members=[[1], [2], [1, 2], [1, 3], [2, 3], [1, 2, 3]]),
+    ),
+    ("fails C1 at 2: Z (1,1,1)", ["gset", "check"], dict(P2_PAIR, members=[[2, 3], [1, 2, 3]])),
+    (
+        "fails C2: Z (1,1,1,1)",
+        ["gset", "check"],
+        dict(Z4_PAIR, members=[[1], [1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4], [1, 2, 3, 4]]),
+    ),
+    (
+        "fails C3 at [1, 2]: Z (1,1,1)",
+        ["gset", "check"],
+        dict(P2_PAIR, members=[[1, 2], [1, 3], [2, 3], [1, 2, 3]]),
+    ),
+    (
+        "Z (1,1,1)",
+        ["gset", "to-fan"],
+        dict(P2_PAIR, members=[[1], [2], [1, 2], [1, 3], [2, 3], [1, 2, 3]]),
+    ),
+    (
+        "not generating: Z (2,2)",
+        ["gset", "to-fan"],
+        {"group": {"free_rank": 1, "torsion": []}, "collection": [[2], [2]], "members": [[1], [2], [1, 2]]},
+    ),
+    ("Z (1,1,1)", ["gset", "enumerate"], P2_PAIR),
+    (
+        "past the cap: Z (1,1,1,1,1)",
+        ["gset", "enumerate"],
+        {"group": {"free_rank": 1, "torsion": []}, "collection": [[1]] * 5},
+    ),
+]
+
+
 OVERLAPPING_FAN = {
     "config": {"rank": 2, "vectors": [[1, 0], [0, 1], [-1, -1], [1, 1]]},
     "cones": [[1], [2], [3], [4], [1, 2], [1, 4]],
@@ -184,6 +239,24 @@ def record() -> list[dict]:
         add(name, ["check", "one-skeleton"], json.dumps(config))
     for name, coll in QUASIAFFINE_PAIRS.items():
         add(name, ["classify", "pair"], json.dumps(encode_pair(coll)))
+    for name, argv, document in REMAINING:
+        add(name, argv, json.dumps(document))
+    fan = json.loads(p2_fan)
+    skeleton = json.dumps(dict(fan, cones=[c for c in fan["cones"] if len(c) <= 1]))
+    name = "maximal fan of Z (1,1,1)"
+    for argv in (
+        ["check", "fan"],
+        ["fan", "roots", "--bound", "1"],
+        ["fan", "connect", "--cone", "2,3", "--facet", "3"],
+        ["fan", "he-pairs", "--covector=-1,0", "--ray", "2"],
+    ):
+        add(name, argv, p2_fan)
+    add(name, ["gset", "from-fan", "-f", "fan.json"], p2, {"fan.json": p2_fan})
+    add(name, ["classify", "big-open", "-m", "maximal.json"], p2_fan, {"maximal.json": skeleton})
+    name = "one-skeleton of the maximal fan of Z (1,1,1)"
+    add(name, ["check", "strongly-regular"], skeleton)
+    add(name, ["fan", "connect", "--cone", "1", "--facet", ""], skeleton)
+    add(name, ["classify", "big-open", "-m", "maximal.json"], skeleton, {"maximal.json": p2_fan})
     return cases
 
 

@@ -736,9 +736,11 @@ def test_golden_cli_corpus_is_byte_identical(cli, tmp_path, monkeypatch):
     # torsion-free fan build-max, which pin the printed relation basis,
     # of every fan command on overlapping cones, and of classify
     # semisimple, gale equivalent, check one-skeleton and torsion-free
-    # classify pair; re-record only on purpose
+    # classify pair, then of every command no record above reached and
+    # of each yes/no command's missing positive or negative answer;
+    # re-record only on purpose
     corpus = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
-    assert len(corpus) == 79
+    assert len(corpus) == 103
     monkeypatch.chdir(tmp_path)
     for case in corpus:
         for name, text in case.get("files", {}).items():
