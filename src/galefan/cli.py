@@ -1,14 +1,30 @@
 """Command-line interface.
 
-Commands mirror the library: ``gale`` for the transforms, ``check`` for
-decision procedures, ``fan`` for fan construction and root queries,
-``gset`` for generating-set families, and ``classify`` for the pair
-classifiers.  Inputs are JSON files (or standard input); outputs are
-deterministic single-line JSON on standard output.
+``COMMANDS`` maps each command and action to its handler; the parser
+offers exactly its keys, in this order:
 
-Exit codes: 0 for a computed result or a positive decision, 1 for a
-negative decision of a yes/no command, 2 for malformed or invalid
-input, 3 when a configured cap is exceeded.
+    gale      transform | inverse | linear | canonical | equivalent
+    check     admissible | suitable | fan | strongly-regular | one-skeleton
+    fan       build-max | roots | connect | he-pairs
+    gset      check | to-fan | from-fan | enumerate
+    classify  pair | semisimple | big-open
+
+Inputs are JSON files (or standard input); ``gale equivalent``, ``gset
+from-fan`` and ``classify big-open`` read their second input from the
+file named by ``-j``, ``-f`` or ``-m``.  Each command writes one
+deterministic line of JSON to standard output, its result or an error
+envelope, and exits with:
+
+    0  a computed result, or yes from a yes/no command
+    1  no from a yes/no command: ``gale equivalent``, every ``check``,
+       ``fan connect``, ``gset check`` and ``classify big-open``
+    2  malformed input or command line, a violated precondition, or an
+       invalid fan
+    3  a configured cap was exceeded
+
+A command line the parser rejects, and a missing second input file, get
+the ``input`` envelope.  With no command at all, the usage goes to
+standard error and the exit code is 2.
 """
 
 from __future__ import annotations
@@ -40,258 +56,236 @@ def _read_json(path: Optional[str]) -> Any:
         raise InputFormatError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _emit(obj: Any) -> None:
-    sys.stdout.write(dumps(obj))
+def _second_file(path: Optional[str], flag: str) -> str:
+    # the first input may already have taken stdin
+    if path is None:
+        raise InputFormatError(f"{flag}: the second input file is missing")
+    return path
 
 
-def _opt_index(i: Optional[int]) -> Optional[int]:
-    return None if i is None else i + 1
+def _decision(payload: dict, yes: bool) -> tuple[dict, int]:
+    """The answer of a yes/no command: exit 0 for yes, 1 for no."""
+    return payload, 0 if yes else 1
 
 
-def _cmd_gale(args) -> int:
-    if args.action == "transform":
-        config = jsonio.decode_configuration(_read_json(args.input))
-        _, coll = gale.lattice_gale_transform(config)
-        _emit(jsonio.encode_pair(coll))
-        return 0
-    if args.action == "inverse":
-        coll = jsonio.decode_pair(_read_json(args.input))
-        config = gale.inverse_gale_transform(coll)
-        _emit({"configuration": jsonio.encode_configuration(config)})
-        return 0
-    if args.action == "linear":
-        config = jsonio.decode_configuration(_read_json(args.input))
-        dim, vectors = gale.linear_gale_transform(config)
-        _emit({"dimension": dim, "vectors": [list(v) for v in vectors]})
-        return 0
-    if args.action == "canonical":
-        config = jsonio.decode_configuration(_read_json(args.input))
-        _emit({"configuration": jsonio.encode_configuration(gale.canonical_form(config))})
-        return 0
-    if args.action == "equivalent":
-        left = jsonio.decode_pair(_read_json(args.input))
-        right = jsonio.decode_pair(_read_json(args.other))
-        eq = gale.pairs_equivalent(left, right)
-        _emit({"equivalent": eq})
-        return 0 if eq else 1
-    raise AssertionError(args.action)
+def _gale_transform(args) -> tuple[dict, int]:
+    config = jsonio.decode_configuration(_read_json(args.input))
+    _, coll = gale.lattice_gale_transform(config)
+    return jsonio.encode_pair(coll), 0
 
 
-def _cmd_check(args) -> int:
-    if args.action == "admissible":
-        coll = jsonio.decode_pair(_read_json(args.input))
-        res = groups.is_admissible(coll)
-        _emit(
-            {
-                "admissible": res.admissible,
-                "generates": res.generates,
-                "failing_index": _opt_index(res.failing_index),
-            }
-        )
-        return 0 if res.admissible else 1
-    if args.action == "suitable":
-        config = jsonio.decode_configuration(_read_json(args.input))
-        res = fans.is_suitable(config)
-        _emit(
-            {
-                "suitable": res.suitable,
-                "witnesses": None if res.witnesses is None else [list(w) for w in res.witnesses],
-                "failing_index": _opt_index(res.failing_index),
-            }
-        )
-        return 0 if res.suitable else 1
-    if args.action == "fan":
-        try:
-            jsonio.decode_fan(_read_json(args.input))
-            report = fans.FanReport(True)
-        except InvalidFanError as exc:
-            report = exc.report
-        _emit(
-            {
-                "valid": report.valid,
-                "violations": [
-                    {"code": v.code, "indices": _shift_indices(v.indices), "message": v.message}
-                    for v in report.violations
-                ],
-            }
-        )
-        return 0 if report.valid else 1
-    if args.action == "strongly-regular":
-        fan = jsonio.decode_fan(_read_json(args.input))
-        res = fans.is_strongly_regular(fan)
-        _emit(
-            {
-                "strongly_regular": res.strongly_regular,
-                "certificate": [
-                    {
-                        "cone": jsonio._encode_index_set(c),
-                        "facet": jsonio._encode_index_set(f),
-                        "root": jsonio.encode_root(r),
-                    }
-                    for c, f, r in res.certificate
-                ],
-                "failing_cone": None
-                if res.failing_cone is None
-                else jsonio._encode_index_set(res.failing_cone),
-            }
-        )
-        return 0 if res.strongly_regular else 1
-    if args.action == "one-skeleton":
-        config = jsonio.decode_configuration(_read_json(args.input))
-        ok = fans.one_skeleton_strongly_regular(config)
-        _emit({"strongly_regular": ok})
-        return 0 if ok else 1
-    raise AssertionError(args.action)
+def _gale_inverse(args) -> tuple[dict, int]:
+    coll = jsonio.decode_pair(_read_json(args.input))
+    config = gale.inverse_gale_transform(coll)
+    return {"configuration": jsonio.encode_configuration(config)}, 0
 
 
-def _shift_indices(indices: tuple) -> list:
-    out = []
-    for v in indices:
-        if isinstance(v, tuple):
-            out.append([i + 1 for i in v])
+def _gale_linear(args) -> tuple[dict, int]:
+    config = jsonio.decode_configuration(_read_json(args.input))
+    dim, vectors = gale.linear_gale_transform(config)
+    return {"dimension": dim, "vectors": [list(v) for v in vectors]}, 0
+
+
+def _gale_canonical(args) -> tuple[dict, int]:
+    config = jsonio.decode_configuration(_read_json(args.input))
+    return {"configuration": jsonio.encode_configuration(gale.canonical_form(config))}, 0
+
+
+def _gale_equivalent(args) -> tuple[dict, int]:
+    other = _second_file(args.other, "-j/--other")
+    left = jsonio.decode_pair(_read_json(args.input))
+    right = jsonio.decode_pair(_read_json(other))
+    eq = gale.pairs_equivalent(left, right)
+    return _decision({"equivalent": eq}, eq)
+
+
+def _check_admissible(args) -> tuple[dict, int]:
+    coll = jsonio.decode_pair(_read_json(args.input))
+    res = groups.is_admissible(coll)
+    payload = {
+        "admissible": res.admissible,
+        "generates": res.generates,
+        "failing_index": jsonio.encode_index(res.failing_index),
+    }
+    return _decision(payload, res.admissible)
+
+
+def _check_suitable(args) -> tuple[dict, int]:
+    config = jsonio.decode_configuration(_read_json(args.input))
+    res = fans.is_suitable(config)
+    payload = {
+        "suitable": res.suitable,
+        "witnesses": None if res.witnesses is None else [list(w) for w in res.witnesses],
+        "failing_index": jsonio.encode_index(res.failing_index),
+    }
+    return _decision(payload, res.suitable)
+
+
+def _check_fan(args) -> tuple[dict, int]:
+    try:
+        jsonio.decode_fan(_read_json(args.input))
+        report = fans.FanReport(True)
+    except InvalidFanError as exc:
+        report = exc.report
+    violations = [
+        {"code": v.code, "indices": jsonio.encode_index(v.indices), "message": v.message}
+        for v in report.violations
+    ]
+    return _decision({"valid": report.valid, "violations": violations}, report.valid)
+
+
+def _check_strongly_regular(args) -> tuple[dict, int]:
+    fan = jsonio.decode_fan(_read_json(args.input))
+    res = fans.is_strongly_regular(fan)
+    payload = {
+        "strongly_regular": res.strongly_regular,
+        "certificate": [
+            {"cone": jsonio.encode_index(c), "facet": jsonio.encode_index(f),
+             "root": jsonio.encode_root(r)}
+            for c, f, r in res.certificate
+        ],
+        "failing_cone": jsonio.encode_index(res.failing_cone),
+    }
+    return _decision(payload, res.strongly_regular)
+
+
+def _check_one_skeleton(args) -> tuple[dict, int]:
+    config = jsonio.decode_configuration(_read_json(args.input))
+    ok = fans.one_skeleton_strongly_regular(config)
+    return _decision({"strongly_regular": ok}, ok)
+
+
+def _fan_build_max(args) -> tuple[dict, int]:
+    coll = jsonio.decode_pair(_read_json(args.input))
+    return jsonio.encode_fan(classify.build_maximal_fan(coll)), 0
+
+
+def _fan_roots(args) -> tuple[dict, int]:
+    if args.bound is None or args.bound < 0:
+        raise InputFormatError("roots: --bound must be a non-negative integer")
+    fan = jsonio.decode_fan(_read_json(args.input))
+    roots = fans.roots_in_box(fan, args.bound)
+    return {"roots": [jsonio.encode_root(r) for r in roots]}, 0
+
+
+def _fan_connect(args) -> tuple[dict, int]:
+    fan = jsonio.decode_fan(_read_json(args.input))
+    # comma-separated 1-based indices; a blank value is the empty set
+    size = len(fan.config)
+    cone, facet = (
+        jsonio.decode_index_set(text.split(",") if text.strip() else [], size, what)
+        for text, what in ((args.cone, "--cone"), (args.facet, "--facet"))
+    )
+    try:
+        ok, root = fans.root_connecting(fan, cone, facet)
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from exc
+    payload = {"connected": ok, "root": None if root is None else jsonio.encode_root(root)}
+    return _decision(payload, ok)
+
+
+def _fan_he_pairs(args) -> tuple[dict, int]:
+    fan = jsonio.decode_fan(_read_json(args.input))
+    try:
+        cov = [int(p) for p in args.covector.split(",")] if args.covector else []
+    except ValueError as exc:
+        raise InputFormatError("--covector: expected comma-separated integers") from exc
+    root = jsonio.decode_root({"covector": cov, "ray": args.ray}, fan.config.rank, len(fan.config))
+    pairs = fans.he_connected_pairs(fan, root)
+    return {
+        "pairs": [{"facet": jsonio.encode_index(f), "cone": jsonio.encode_index(c)} for f, c in pairs]
+    }, 0
+
+
+def _gset_check(args) -> tuple[dict, int]:
+    gset = jsonio.decode_gset(_read_json(args.input))
+    res = classify.is_connected_gset(gset)
+    violation = None
+    if res.violation is not None:
+        kind, detail = res.violation
+        if kind == "C1":
+            violation = {"condition": kind, "index": jsonio.encode_index(detail)}
+        elif kind == "C2":
+            member, i = jsonio.encode_index(detail)
+            violation = {"condition": kind, "member": member, "index": i}
         else:
-            out.append(v + 1)
-    return out
+            violation = {"condition": kind, "member": jsonio.encode_index(detail)}
+    return _decision({"connected": res.connected, "violation": violation}, res.connected)
 
 
-def _cmd_fan(args) -> int:
-    if args.action == "build-max":
-        coll = jsonio.decode_pair(_read_json(args.input))
-        fan = classify.build_maximal_fan(coll)
-        _emit(jsonio.encode_fan(fan))
-        return 0
-    if args.action == "roots":
-        if args.bound is None or args.bound < 0:
-            raise InputFormatError("roots: --bound must be a non-negative integer")
-        fan = jsonio.decode_fan(_read_json(args.input))
-        roots = fans.roots_in_box(fan, args.bound)
-        _emit({"roots": [jsonio.encode_root(r) for r in roots]})
-        return 0
-    if args.action == "connect":
-        fan = jsonio.decode_fan(_read_json(args.input))
-        # comma-separated 1-based indices; a blank value is the empty set
-        size = len(fan.config)
-        cone, facet = (
-            jsonio._decode_index_set(text.split(",") if text.strip() else [], size, what)
-            for text, what in ((args.cone, "--cone"), (args.facet, "--facet"))
-        )
-        try:
-            ok, root = fans.root_connecting(fan, cone, facet)
-        except ValueError as exc:
-            raise InputFormatError(str(exc)) from exc
-        _emit({"connected": ok, "root": None if root is None else jsonio.encode_root(root)})
-        return 0 if ok else 1
-    if args.action == "he-pairs":
-        fan = jsonio.decode_fan(_read_json(args.input))
-        try:
-            cov = [int(p) for p in args.covector.split(",")] if args.covector else []
-        except ValueError as exc:
-            raise InputFormatError("--covector: expected comma-separated integers") from exc
-        root = jsonio.decode_root(
-            {"covector": cov, "ray": args.ray},
-            fan.config.rank,
-            len(fan.config),
-        )
-        pairs = fans.he_connected_pairs(fan, root)
-        _emit(
-            {
-                "pairs": [
-                    {
-                        "facet": jsonio._encode_index_set(f),
-                        "cone": jsonio._encode_index_set(c),
-                    }
-                    for f, c in pairs
-                ]
-            }
-        )
-        return 0
-    raise AssertionError(args.action)
+def _gset_to_fan(args) -> tuple[dict, int]:
+    gset = jsonio.decode_gset(_read_json(args.input))
+    config = gale.inverse_gale_transform(gset.collection)
+    return jsonio.encode_fan(classify.subfan_from_gset(gset, config)), 0
 
 
-def _cmd_gset(args) -> int:
-    if args.action == "check":
-        gset = jsonio.decode_gset(_read_json(args.input))
-        res = classify.is_connected_gset(gset)
-        violation = None
-        if res.violation is not None:
-            kind, detail = res.violation
-            if kind == "C1":
-                violation = {"condition": kind, "index": detail + 1}
-            elif kind == "C2":
-                member, i = detail
-                violation = {
-                    "condition": kind,
-                    "member": [x + 1 for x in member],
-                    "index": i + 1,
-                }
-            else:
-                violation = {"condition": kind, "member": [x + 1 for x in detail]}
-        _emit({"connected": res.connected, "violation": violation})
-        return 0 if res.connected else 1
-    if args.action == "to-fan":
-        gset = jsonio.decode_gset(_read_json(args.input))
-        config = gale.inverse_gale_transform(gset.collection)
-        fan = classify.subfan_from_gset(gset, config)
-        _emit(jsonio.encode_fan(fan))
-        return 0
-    if args.action == "from-fan":
-        coll = jsonio.decode_pair(_read_json(args.input))
-        fan = jsonio.decode_fan(_read_json(args.fan))
-        maximal = classify.build_maximal_fan(coll)
-        try:
-            gset = classify.gset_from_subfan(coll, fan, maximal)
-        except ValueError as exc:
-            raise InputFormatError(str(exc)) from exc
-        _emit(jsonio.encode_gset(gset))
-        return 0
-    if args.action == "enumerate":
-        coll = jsonio.decode_pair(_read_json(args.input))
-        gsets = classify.enumerate_connected_gsets(coll)
-        _emit({"gsets": [jsonio.encode_gset(g) for g in gsets]})
-        return 0
-    raise AssertionError(args.action)
+def _gset_from_fan(args) -> tuple[dict, int]:
+    fan_file = _second_file(args.fan, "-f/--fan")
+    coll = jsonio.decode_pair(_read_json(args.input))
+    fan = jsonio.decode_fan(_read_json(fan_file))
+    maximal = classify.build_maximal_fan(coll)
+    try:
+        gset = classify.gset_from_subfan(coll, fan, maximal)
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from exc
+    return jsonio.encode_gset(gset), 0
 
 
-def _cmd_classify(args) -> int:
-    if args.action == "pair":
-        coll = jsonio.decode_pair(_read_json(args.input))
-        rep = classify.classify_pair(coll)
-        _emit(
-            {
-                "affine": rep.affine,
-                "complete": rep.complete,
-                "quasiaffine": rep.quasiaffine,
-                "product_decomposition": [
-                    [i + 1 for i in part] for part in rep.product_parts
-                ],
-                "rank_one_type": rep.rank_one_type,
-                "type2_regular_locus": rep.type2_regular_locus,
-                "semisimple_shape": rep.semisimple_shape,
-            }
-        )
-        return 0
-    if args.action == "semisimple":
-        coll = jsonio.decode_pair(_read_json(args.input))
-        rep = classify.semisimple_shape(coll)
-        _emit(
-            {
-                "is_shape": rep.is_shape,
-                "value_groups": [[i + 1 for i in g] for g in rep.value_groups],
-                "coincides_with_maximal": rep.coincides_with_maximal,
-                "gset": None if rep.gset is None else jsonio.encode_gset(rep.gset),
-            }
-        )
-        return 0
-    if args.action == "big-open":
-        fan = jsonio.decode_fan(_read_json(args.input))
-        maximal = jsonio.decode_fan(_read_json(args.maximal))
-        try:
-            ok = classify.is_big_open_subfan(fan, maximal)
-        except ValueError as exc:
-            raise InputFormatError(str(exc)) from exc
-        _emit({"big_open": ok})
-        return 0 if ok else 1
-    raise AssertionError(args.action)
+def _gset_enumerate(args) -> tuple[dict, int]:
+    coll = jsonio.decode_pair(_read_json(args.input))
+    gsets = classify.enumerate_connected_gsets(coll)
+    return {"gsets": [jsonio.encode_gset(g) for g in gsets]}, 0
+
+
+def _classify_pair(args) -> tuple[dict, int]:
+    coll = jsonio.decode_pair(_read_json(args.input))
+    rep = classify.classify_pair(coll)
+    return {
+        "affine": rep.affine,
+        "complete": rep.complete,
+        "quasiaffine": rep.quasiaffine,
+        "product_decomposition": jsonio.encode_index(rep.product_parts),
+        "rank_one_type": rep.rank_one_type,
+        "type2_regular_locus": rep.type2_regular_locus,
+        "semisimple_shape": rep.semisimple_shape,
+    }, 0
+
+
+def _classify_semisimple(args) -> tuple[dict, int]:
+    coll = jsonio.decode_pair(_read_json(args.input))
+    rep = classify.semisimple_shape(coll)
+    return {
+        "is_shape": rep.is_shape,
+        "value_groups": jsonio.encode_index(rep.value_groups),
+        "coincides_with_maximal": rep.coincides_with_maximal,
+        "gset": None if rep.gset is None else jsonio.encode_gset(rep.gset),
+    }, 0
+
+
+def _classify_big_open(args) -> tuple[dict, int]:
+    maximal_file = _second_file(args.maximal, "-m/--maximal")
+    fan = jsonio.decode_fan(_read_json(args.input))
+    maximal = jsonio.decode_fan(_read_json(maximal_file))
+    try:
+        ok = classify.is_big_open_subfan(fan, maximal)
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from exc
+    return _decision({"big_open": ok}, ok)
+
+
+# command -> action -> handler, in the order the usage lists them
+COMMANDS = {
+    "gale": {"transform": _gale_transform, "inverse": _gale_inverse, "linear": _gale_linear,
+             "canonical": _gale_canonical, "equivalent": _gale_equivalent},
+    "check": {"admissible": _check_admissible, "suitable": _check_suitable, "fan": _check_fan,
+              "strongly-regular": _check_strongly_regular, "one-skeleton": _check_one_skeleton},
+    "fan": {"build-max": _fan_build_max, "roots": _fan_roots, "connect": _fan_connect,
+            "he-pairs": _fan_he_pairs},
+    "gset": {"check": _gset_check, "to-fan": _gset_to_fan, "from-fan": _gset_from_fan,
+             "enumerate": _gset_enumerate},
+    "classify": {"pair": _classify_pair, "semisimple": _classify_semisimple,
+                 "big-open": _classify_big_open},
+}
 
 
 def _fixture_suite():
@@ -435,8 +429,16 @@ def _run_fixtures() -> int:
     return 0 if failures == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ``InputFormatError``, so that
+    ``main`` reports them in the JSON envelope."""
+
+    def error(self, message):
+        raise InputFormatError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="galefan",
         description="Exact Gale duality and strongly regular fan computations.",
     )
@@ -447,81 +449,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    p_gale = sub.add_parser("gale", help="Gale transforms and canonical forms")
-    p_gale.add_argument(
-        "action", choices=["transform", "inverse", "linear", "canonical", "equivalent"]
-    )
-    p_gale.add_argument("-i", "--input", help="input JSON file (default: stdin)")
+    def command(name, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("action", choices=COMMANDS[name])
+        p.add_argument("-i", "--input", help="input JSON file (default: stdin)")
+        return p
+
+    p_gale = command("gale", "Gale transforms and canonical forms")
     p_gale.add_argument("-j", "--other", help="second input JSON file (equivalent)")
 
-    p_check = sub.add_parser("check", help="decision procedures")
-    p_check.add_argument(
-        "action",
-        choices=["admissible", "suitable", "fan", "strongly-regular", "one-skeleton"],
-    )
-    p_check.add_argument("-i", "--input", help="input JSON file (default: stdin)")
+    command("check", "decision procedures")
 
-    p_fan = sub.add_parser("fan", help="fan construction and root queries")
-    p_fan.add_argument("action", choices=["build-max", "roots", "connect", "he-pairs"])
-    p_fan.add_argument("-i", "--input", help="input JSON file (default: stdin)")
+    p_fan = command("fan", "fan construction and root queries")
     p_fan.add_argument("--bound", type=int, help="sup-norm bound for roots")
     p_fan.add_argument("--cone", default="", help="comma-separated 1-based ray indices")
     p_fan.add_argument("--facet", default="", help="comma-separated 1-based ray indices")
     p_fan.add_argument("--covector", default="", help="comma-separated covector entries")
     p_fan.add_argument("--ray", type=int, help="1-based distinguished ray index")
 
-    p_gset = sub.add_parser("gset", help="families of generating subcollections")
-    p_gset.add_argument("action", choices=["check", "to-fan", "from-fan", "enumerate"])
-    p_gset.add_argument("-i", "--input", help="input JSON file (default: stdin)")
+    p_gset = command("gset", "families of generating subcollections")
     p_gset.add_argument("-f", "--fan", help="fan JSON file (from-fan)")
 
-    p_classify = sub.add_parser("classify", help="pair classification")
-    p_classify.add_argument("action", choices=["pair", "semisimple", "big-open"])
-    p_classify.add_argument("-i", "--input", help="input JSON file (default: stdin)")
+    p_classify = command("classify", "pair classification")
     p_classify.add_argument("-m", "--maximal", help="maximal fan JSON file (big-open)")
 
     return parser
 
 
-_HANDLERS = {
-    "gale": _cmd_gale,
-    "check": _cmd_check,
-    "fan": _cmd_fan,
-    "gset": _cmd_gset,
-    "classify": _cmd_classify,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.fixtures:
-        return _run_fixtures()
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
-        return _HANDLERS[args.command](args)
+        args = parser.parse_args(argv)
+        if args.fixtures:
+            return _run_fixtures()
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return 2
+        payload, code = COMMANDS[args.command][args.action](args)
     except InputFormatError as exc:
-        _emit({"error": {"type": "input", "message": str(exc)}})
-        return 2
+        payload, code = {"error": {"type": "input", "message": str(exc)}}, 2
     except CapExceededError as exc:
-        _emit({"error": {"type": "cap-exceeded", "message": str(exc)}})
-        return 3
+        payload, code = {"error": {"type": "cap-exceeded", "message": str(exc)}}, 3
     except InvalidFanError as exc:
-        _emit({"error": {"type": "invalid-fan", "message": str(exc)}})
-        return 2
+        payload, code = {"error": {"type": "invalid-fan", "message": str(exc)}}, 2
     except (
         DegenerateConfigurationError,
         InvalidRootError,
         NotAdmissibleError,
         NotGeneratingError,
     ) as exc:
-        _emit({"error": {"type": "precondition", "message": str(exc)}})
-        return 2
+        payload, code = {"error": {"type": "precondition", "message": str(exc)}}, 2
     except GalefanError as exc:
-        _emit({"error": {"type": "error", "message": str(exc)}})
-        return 2
+        payload, code = {"error": {"type": "error", "message": str(exc)}}, 2
+    sys.stdout.write(dumps(payload))
+    return code
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """JSON interchange for groups, collections, configurations and fans.
 
 Indices are 1-based on the wire, matching the usual numbering of rays
-and collection elements; internally everything is 0-based.  Integers
-outside the signed 64-bit range are serialized as decimal strings so
-that consumers without big integers can keep them exact; the parser
-accepts both forms everywhere.  Serialization is deterministic: keys
-are sorted and cones and members are ordered by size, then
-lexicographically.
+and collection elements; internally everything is 0-based, and only
+this module converts between the two (``encode_index`` for every
+output).  Integers outside the signed 64-bit range are serialized as
+decimal strings so that consumers without big integers can keep them
+exact; the parser accepts both forms everywhere.  Serialization is
+deterministic: keys are sorted and cones and members are ordered by
+size, then lexicographically.
 """
 
 from __future__ import annotations
@@ -145,11 +146,20 @@ def decode_configuration(data: Any) -> VectorConfiguration:
         raise InputFormatError(f"configuration: {exc}") from exc
 
 
-def _encode_index_set(s) -> list[int]:
-    return [i + 1 for i in sorted(s)]
+def encode_index(index: Any) -> Any:
+    """The wire form of a 0-based index, or of a tuple or set of them
+    nested to any depth: 1-based, tuples in order, sets sorted, and
+    ``None`` (no index) kept."""
+    if index is None:
+        return None
+    if isinstance(index, tuple):
+        return [encode_index(i) for i in index]
+    if isinstance(index, frozenset):
+        return [encode_index(i) for i in sorted(index)]
+    return index + 1
 
 
-def _decode_index_set(data: Any, size: int, what: str) -> frozenset[int]:
+def decode_index_set(data: Any, size: int, what: str) -> frozenset[int]:
     raw = _int_list(data, what)
     out = set()
     for v in raw:
@@ -164,7 +174,7 @@ def _decode_index_set(data: Any, size: int, what: str) -> frozenset[int]:
 def encode_fan(fan: SimplicialFan) -> dict:
     return {
         "config": encode_configuration(fan.config),
-        "cones": [_encode_index_set(c) for c in fan.sorted_cones()],
+        "cones": [encode_index(c) for c in fan.sorted_cones()],
     }
 
 
@@ -177,14 +187,14 @@ def decode_fan(data: Any) -> SimplicialFan:
     if not isinstance(raw, list):
         raise InputFormatError("fan.cones: expected a list")
     cones = frozenset(
-        _decode_index_set(c, len(config), f"fan.cones[{i}]") for i, c in enumerate(raw)
+        decode_index_set(c, len(config), f"fan.cones[{i}]") for i, c in enumerate(raw)
     )
     return SimplicialFan(config, cones)
 
 
 def encode_gset(gset: GSet) -> dict:
     out = encode_pair(gset.collection)
-    out["members"] = [_encode_index_set(m) for m in gset.sorted_members()]
+    out["members"] = [encode_index(m) for m in gset.sorted_members()]
     return out
 
 
@@ -195,7 +205,7 @@ def decode_gset(data: Any) -> GSet:
     if not isinstance(raw, list):
         raise InputFormatError("gset.members: expected a list")
     members = frozenset(
-        _decode_index_set(m, len(coll), f"gset.members[{i}]") for i, m in enumerate(raw)
+        decode_index_set(m, len(coll), f"gset.members[{i}]") for i, m in enumerate(raw)
     )
     try:
         return GSet(coll, members)
@@ -206,7 +216,7 @@ def decode_gset(data: Any) -> GSet:
 def encode_root(root: DemazureRoot) -> dict:
     return {
         "covector": [_enc_int(c) for c in root.covector],
-        "ray": root.distinguished_ray + 1,
+        "ray": encode_index(root.distinguished_ray),
     }
 
 

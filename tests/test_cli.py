@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from galefan import VectorConfiguration, configs_equivalent
+import galefan.cli
 from galefan.cli import main
 from galefan.fans import ROOTS_SCAN_CAP
 
@@ -544,6 +545,32 @@ def test_root_scan_past_the_cap_exits_3_at_once(cli):
     assert "(2*100+1)^3 = 8120601 covectors" in json.loads(out)["error"]["message"]
 
 
+def test_argv_errors_get_the_input_envelope(cli):
+    # a two-input command without its second file names the flag instead
+    # of reading stdin twice
+    for argv, stdin, flag in (
+        (["gale", "equivalent"], P2_PAIR, "-j/--other"),
+        (["gset", "from-fan"], P2_PAIR, "-f/--fan"),
+        (["classify", "big-open"], P2_FAN, "-m/--maximal"),
+    ):
+        code, out, err = cli(argv, stdin=json.dumps(stdin))
+        message = flag + ": the second input file is missing"
+        assert (code, json.loads(out), err) == (2, {"error": {"type": "input", "message": message}}, "")
+    # what the parser refuses gets the envelope too, with the parser's message
+    for argv, words in (
+        (["gale", "transform", "--bound", "3"], "unrecognized arguments: --bound 3"),
+        (["fan", "roots", "--bound", "abc"], "--bound"),
+        (["gale", "flip"], "invalid choice: 'flip'"),
+        (["gset"], "action"),
+        (["nonesuch"], "invalid choice: 'nonesuch'"),
+    ):
+        code, out, err = cli(argv, stdin="{}")
+        assert (code, err) == (2, ""), argv
+        assert out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "input" and words in error["message"], argv
+
+
 def test_no_command_prints_usage(cli):
     code, out, err = cli([])
     assert code == 2
@@ -699,6 +726,16 @@ _CASES = st.one_of(
         for argv, first, second in _TWO_INPUTS
     ],
 )
+
+
+def test_every_command_is_fuzzed_and_pinned():
+    # a command added to the table needs a fuzzed input and a golden record
+    table = {(command, action) for command, actions in galefan.cli.COMMANDS.items() for action in actions}
+    fuzzed = {tuple(argv[:2]) for argvs in _ONE_INPUT.values() for argv in argvs}
+    fuzzed |= {tuple(argv[:2]) for argv, _, _ in _TWO_INPUTS}
+    corpus = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+    pinned = {tuple(case["argv"][:2]) for case in corpus}
+    assert (table - fuzzed, table - pinned) == (set(), set())
 
 
 @pytest.fixture(scope="module")
