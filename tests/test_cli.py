@@ -18,8 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from galefan import VectorConfiguration, configs_equivalent
-import galefan.cli
-from galefan.cli import main
+from galefan.cli import COMMANDS, main
 from galefan.fans import ROOTS_SCAN_CAP
 
 
@@ -730,7 +729,7 @@ _CASES = st.one_of(
 
 def test_every_command_is_fuzzed_and_pinned():
     # a command added to the table needs a fuzzed input and a golden record
-    table = {(command, action) for command, actions in galefan.cli.COMMANDS.items() for action in actions}
+    table = {(command, action) for command, actions in COMMANDS.items() for action in actions}
     fuzzed = {tuple(argv[:2]) for argvs in _ONE_INPUT.values() for argv in argvs}
     fuzzed |= {tuple(argv[:2]) for argv, _, _ in _TWO_INPUTS}
     corpus = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
