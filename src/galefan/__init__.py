@@ -37,10 +37,8 @@ from .groups import (
     DirectSum,
     ElementCollection,
     GroupElement,
-    Link,
     direct_sum,
     direct_sum_collection,
-    enumerate_links,
     generates_full_semigroup,
     generates_group,
     group_from_cokernel,

@@ -15,7 +15,13 @@ from itertools import chain, combinations, product
 from typing import Optional
 
 from ._record import Record
-from .errors import CapExceededError, InternalError, InvalidFanError, NotAdmissibleError
+from .errors import (
+    CapExceededError,
+    InternalError,
+    InvalidFanError,
+    NotAdmissibleError,
+    NotGeneratingError,
+)
 from .fans import SimplicialFan, VectorConfiguration, _numbered, cone_key, is_regular_cone
 # unused: perfbench's tracing probe wants this binding until ROADMAP item 2
 from .fans import validate_fan  # noqa: F401
@@ -25,27 +31,32 @@ from .groups import (
     GroupElement,
     _in_semigroup_outside,
     _relation_basis,
-    enumerate_links,
     generates_full_semigroup,
     generates_group,
     is_admissible,
+    is_link,
     semigroup_membership,
 )
 from .linalg import LinearSystem, determinant, IntMatrix, lp_feasible, matrix_rank
 
 ENUMERATE_GSETS_CAP = 4
+ENUMERATE_LINKS_CAP = 10
 
 
 class GSet(Record):
     """Family of index subsets, each generating the full semigroup.
 
-    The complete index set is always required as a member.
+    The collection must generate its group (``NotGeneratingError``
+    otherwise), and the complete index set is always required as a
+    member.
     """
 
     collection: ElementCollection
     members: frozenset[frozenset[int]]
 
     def __post_init__(self):
+        if not generates_group(self.collection):
+            raise NotGeneratingError("collection does not generate its group")
         full = frozenset(range(len(self.collection)))
         object.__setattr__(self, "members", frozenset(frozenset(m) for m in self.members))
         if full not in self.members:
@@ -168,53 +179,65 @@ def is_connected_gset(gset: GSet) -> ConnectednessResult:
     adding indices; (C3) every proper member admits a link whose removal
     rule holds throughout the family.  The first violated condition is
     reported as ('C1', i), ('C2', (member, i)) or ('C3', member).
+
+    A link of a member is a target outside it that is a combination of
+    a support inside it with every coefficient >= 1 (``is_link``); its
+    removal rule asks that a member holding support and target stays a
+    member without the target.  Each member's link is looked for on
+    demand: targets ascending, supports by size and lexicographically,
+    the removal rule before the integer search, and the first link
+    found passes the member.  Supports range over a member's subsets,
+    so (C3) is capped at ``ENUMERATE_LINKS_CAP`` elements.
     """
-    coll = gset.collection
+    violation = _violation(gset.collection, gset.members)
+    return ConnectednessResult(violation is None, violation)
+
+
+def _violation(coll: ElementCollection, members) -> Optional[tuple]:
+    # the violation that is_connected_gset reports, or None
     r = len(coll)
     full = frozenset(range(r))
-    members = gset.members
     for i in range(r):
         if full - {i} not in members:
-            return ConnectednessResult(False, ("C1", i))
-    for member in sorted(members, key=cone_key):
+            return ("C1", i)
+    ordered = sorted(members, key=cone_key)
+    for member in ordered:
         for i in sorted(full - member):
             if member | {i} not in members:
-                return ConnectednessResult(False, ("C2", (tuple(sorted(member)), i)))
-    links = enumerate_links(coll)
-    for member in sorted(members, key=cone_key):
-        if member == full:
-            continue
-        if not any(
-            link.target not in member
-            and link.support <= member
-            and _is_family_link(members, link.target, link.support)
-            for link in links
+                return ("C2", (tuple(sorted(member)), i))
+    if r > ENUMERATE_LINKS_CAP:
+        raise CapExceededError(f"link enumeration needs r <= {ENUMERATE_LINKS_CAP}, got {r}")
+
+    def removal_rule_holds(target: int, support: tuple[int, ...]) -> bool:
+        needed = {target, *support}
+        return all(b - {target} in members for b in members if needed <= b)
+
+    for member in ordered:
+        inside = sorted(member)
+        if member != full and not any(
+            removal_rule_holds(target, support) and is_link(coll, target, support)[0]
+            for target in sorted(full - member)
+            for size in range(len(inside) + 1)
+            for support in combinations(inside, size)
         ):
-            return ConnectednessResult(False, ("C3", tuple(sorted(member))))
-    return ConnectednessResult(True, None)
-
-
-def _is_family_link(members, target: int, support: frozenset[int]) -> bool:
-    # removal rule: whenever support+target sits inside a member, the
-    # member without the target must also belong to the family
-    needed = support | {target}
-    for b in members:
-        if needed <= b and b - {target} not in members:
-            return False
-    return True
+            return ("C3", tuple(inside))
+    return None
 
 
 def enumerate_connected_gsets(coll: ElementCollection) -> tuple[GSet, ...]:
     """All connected families of generating subcollections.
 
     Exhaustive over the subset lattice, so the collection size is hard
-    capped.  Families that cannot satisfy (C1) make the result empty.
+    capped, and the collection must generate its group.  Families that
+    cannot satisfy (C1) make the result empty.
     """
     r = len(coll)
     if r > ENUMERATE_GSETS_CAP:
         raise CapExceededError(
             "gset enumeration supports at most %d elements" % ENUMERATE_GSETS_CAP
         )
+    if not generates_group(coll):
+        raise NotGeneratingError("collection does not generate its group")
     full = frozenset(range(r))
     generating = [
         frozenset(s)
@@ -228,16 +251,9 @@ def enumerate_connected_gsets(coll: ElementCollection) -> tuple[GSet, ...]:
     optional = sorted((g for g in set(generating) - mandatory), key=cone_key)
     found = []
     for mask in range(1 << len(optional)):
-        members = set(mandatory)
-        for k, g in enumerate(optional):
-            if mask >> k & 1:
-                members.add(g)
-        # cheap upward-closure filter before the full check
-        if any(m | {i} not in members for m in members for i in full - m):
-            continue
-        gs = GSet(coll, frozenset(members))
-        if is_connected_gset(gs).connected:
-            found.append(gs)
+        members = frozenset(mandatory | {g for k, g in enumerate(optional) if mask >> k & 1})
+        if _violation(coll, members) is None:
+            found.append(GSet(coll, members))
     found.sort(key=lambda g: (len(g.members), tuple(cone_key(m) for m in g.sorted_members())))
     return tuple(found)
 

@@ -22,8 +22,9 @@ envelope, and exits with:
        invalid fan
     3  a configured cap was exceeded
 
-A command line the parser rejects, and a missing second input file, get
-the ``input`` envelope.  With no command at all, the usage goes to
+A command line the parser rejects, and a second input file that is
+missing or names standard input when the first input reads it, get the
+``input`` envelope.  With no command at all, the usage goes to
 standard error and the exit code is 2.
 """
 
@@ -56,10 +57,12 @@ def _read_json(path: Optional[str]) -> Any:
         raise InputFormatError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _second_file(path: Optional[str], flag: str) -> str:
-    # the first input may already have taken stdin
+def _second_file(first: Optional[str], path: Optional[str], flag: str) -> str:
+    # stdin can hold only one of the two inputs
     if path is None:
         raise InputFormatError(f"{flag}: the second input file is missing")
+    if path == "-" and first in (None, "-"):
+        raise InputFormatError(f"{flag}: standard input already holds the first input")
     return path
 
 
@@ -83,7 +86,7 @@ def _gale_inverse(args) -> tuple[dict, int]:
 def _gale_linear(args) -> tuple[dict, int]:
     config = jsonio.decode_configuration(_read_json(args.input))
     dim, vectors = gale.linear_gale_transform(config)
-    return {"dimension": dim, "vectors": [list(v) for v in vectors]}, 0
+    return {"dimension": dim, "vectors": [jsonio.encode_vector(v) for v in vectors]}, 0
 
 
 def _gale_canonical(args) -> tuple[dict, int]:
@@ -92,7 +95,7 @@ def _gale_canonical(args) -> tuple[dict, int]:
 
 
 def _gale_equivalent(args) -> tuple[dict, int]:
-    other = _second_file(args.other, "-j/--other")
+    other = _second_file(args.input, args.other, "-j/--other")
     left = jsonio.decode_pair(_read_json(args.input))
     right = jsonio.decode_pair(_read_json(other))
     eq = gale.pairs_equivalent(left, right)
@@ -113,9 +116,10 @@ def _check_admissible(args) -> tuple[dict, int]:
 def _check_suitable(args) -> tuple[dict, int]:
     config = jsonio.decode_configuration(_read_json(args.input))
     res = fans.is_suitable(config)
+    witnesses = None if res.witnesses is None else [jsonio.encode_vector(w) for w in res.witnesses]
     payload = {
         "suitable": res.suitable,
-        "witnesses": None if res.witnesses is None else [list(w) for w in res.witnesses],
+        "witnesses": witnesses,
         "failing_index": jsonio.encode_index(res.failing_index),
     }
     return _decision(payload, res.suitable)
@@ -220,7 +224,7 @@ def _gset_to_fan(args) -> tuple[dict, int]:
 
 
 def _gset_from_fan(args) -> tuple[dict, int]:
-    fan_file = _second_file(args.fan, "-f/--fan")
+    fan_file = _second_file(args.input, args.fan, "-f/--fan")
     coll = jsonio.decode_pair(_read_json(args.input))
     fan = jsonio.decode_fan(_read_json(fan_file))
     maximal = classify.build_maximal_fan(coll)
@@ -263,7 +267,7 @@ def _classify_semisimple(args) -> tuple[dict, int]:
 
 
 def _classify_big_open(args) -> tuple[dict, int]:
-    maximal_file = _second_file(args.maximal, "-m/--maximal")
+    maximal_file = _second_file(args.input, args.maximal, "-m/--maximal")
     fan = jsonio.decode_fan(_read_json(args.input))
     maximal = jsonio.decode_fan(_read_json(maximal_file))
     try:

@@ -11,12 +11,11 @@ integer feasibility problem with non-negative coefficients.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 from ._record import Record
-from .errors import CapExceededError, InternalError
+from .errors import InternalError
 from .fans import _covector_for_pattern, dot
 from .linalg import (
     IntMatrix,
@@ -27,8 +26,6 @@ from .linalg import (
     smith_normal_form,
     solve_diophantine,
 )
-
-ENUMERATE_LINKS_CAP = 10
 
 
 class AbelianGroup(Record):
@@ -439,15 +436,6 @@ def is_admissible(coll: ElementCollection) -> AdmissibilityResult:
     return AdmissibilityResult(True, True, None)
 
 
-class Link(Record):
-    """Certificate that one element is a strictly positive combination
-    of a support set of other elements."""
-
-    target: int
-    support: frozenset[int]
-    coefficients: tuple[int, ...]  # aligned with sorted(support), all >= 1
-
-
 def is_link(
     coll: ElementCollection, target: int, support: Iterable[int]
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -471,27 +459,6 @@ def is_link(
     extra = dict(zip(values, coeffs))
     # dict.pop hands each value's coefficient to its first index only
     return True, tuple(1 + extra.pop(g, 0) for g in gens)
-
-
-def enumerate_links(coll: ElementCollection) -> tuple[Link, ...]:
-    """All links of a collection, smallest supports first.
-
-    Ordered by target index, then support size, then support
-    lexicographically.  Guarded by a cap on the collection size since
-    the scan is over all support subsets.
-    """
-    r = len(coll)
-    if r > ENUMERATE_LINKS_CAP:
-        raise CapExceededError(f"link enumeration needs r <= {ENUMERATE_LINKS_CAP}, got {r}")
-    out = []
-    for target in coll.indices:
-        others = [i for i in coll.indices if i != target]
-        for size in range(r):
-            for sup in combinations(others, size):
-                ok, coeffs = is_link(coll, target, sup)
-                if ok:
-                    out.append(Link(target, frozenset(sup), coeffs))
-    return tuple(out)
 
 
 class DirectSum(Record):

@@ -5,9 +5,9 @@ and collection elements; internally everything is 0-based, and only
 this module converts between the two (``encode_index`` for every
 output).  Integers outside the signed 64-bit range are serialized as
 decimal strings so that consumers without big integers can keep them
-exact; the parser accepts both forms everywhere.  Serialization is
-deterministic: keys are sorted and cones and members are ordered by
-size, then lexicographically.
+exact (``encode_vector`` for every output); the parser accepts both
+forms everywhere.  Serialization is deterministic: keys are sorted and
+cones and members are ordered by size, then lexicographically.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ class InputFormatError(ValueError):
     """Malformed or schema-violating JSON input."""
 
 
-def _enc_int(x: int):
-    return x if -_I64_MAX - 1 <= x <= _I64_MAX else str(x)
+def encode_vector(vec) -> list:
+    """The wire form of a sequence of integers."""
+    return [c if -_I64_MAX - 1 <= c <= _I64_MAX else str(c) for c in vec]
 
 
 def _dec_int(value: Any, what: str) -> int:
@@ -59,7 +60,7 @@ def _obj(value: Any, what: str) -> dict:
 def encode_group(group: AbelianGroup) -> dict:
     return {
         "free_rank": group.free_rank,
-        "torsion": [_enc_int(d) for d in group.torsion],
+        "torsion": encode_vector(group.torsion),
     }
 
 
@@ -74,7 +75,7 @@ def decode_group(data: Any) -> AbelianGroup:
 
 
 def encode_element(e: GroupElement) -> list:
-    return [_enc_int(c) for c in e.free + e.torsion]
+    return encode_vector(e.free + e.torsion)
 
 
 def decode_element(group: AbelianGroup, data: Any, what: str) -> GroupElement:
@@ -118,7 +119,7 @@ def decode_pair(data: Any) -> ElementCollection:
 def encode_configuration(config: VectorConfiguration) -> dict:
     return {
         "rank": config.rank,
-        "vectors": [[_enc_int(c) for c in v] for v in config.vectors],
+        "vectors": [encode_vector(v) for v in config.vectors],
     }
 
 
@@ -215,7 +216,7 @@ def decode_gset(data: Any) -> GSet:
 
 def encode_root(root: DemazureRoot) -> dict:
     return {
-        "covector": [_enc_int(c) for c in root.covector],
+        "covector": encode_vector(root.covector),
         "ray": encode_index(root.distinguished_ray),
     }
 

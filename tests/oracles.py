@@ -5,8 +5,10 @@ computation over speed: minors by brute force, rank over Fractions,
 matrix products by the definition, cone separation decided on the
 Gale side instead of the primal side, positive spanning by one LP per
 signed unit vector, shape members by filtering every index subset,
-pair equivalence by trying every index permutation, and connecting
-roots by trying zero sets from the smallest up.
+pair equivalence by trying every index permutation, connecting roots
+by trying zero sets from the smallest up, and condition (C3) of a
+G-set by listing every link of the collection before looking at the
+family.
 """
 
 from __future__ import annotations
@@ -16,11 +18,14 @@ from itertools import combinations, permutations
 from typing import Sequence
 
 from galefan import (
+    ConnectednessResult,
     DemazureRoot,
     IntMatrix,
     LinearSystem,
+    cone_key,
     determinant,
     integer_kernel,
+    is_link,
     linear_gale_transform,
     lp_feasible,
     row_hermite_form,
@@ -200,3 +205,41 @@ def root_connecting_ascending(fan, cone, facet):
             if e is not None:
                 return DemazureRoot(e, rho)
     return None
+
+
+def every_link(coll) -> tuple:
+    """Every link (target, support) of a collection: coll[target] is a
+    combination of the support with all coefficients >= 1.  Ordered by
+    target, then support size, then support lexicographically."""
+    out = []
+    for target in coll.indices:
+        others = [i for i in coll.indices if i != target]
+        for size in range(len(coll)):
+            for sup in combinations(others, size):
+                if is_link(coll, target, sup)[0]:
+                    out.append((target, frozenset(sup)))
+    return tuple(out)
+
+
+def c3_by_link_list(gset) -> ConnectednessResult:
+    """Condition (C3) alone, by its definition: every proper member has a
+    link with its target outside and its support inside, whose removal
+    rule holds throughout the family (whenever support and target lie in
+    a member, that member without the target is a member too).  Every
+    link is listed before the family is looked at; the first failing
+    member in ``cone_key`` order is reported as ('C3', member)."""
+    members = gset.members
+    full = frozenset(gset.collection.indices)
+    links = every_link(gset.collection)
+
+    def removal_rule_holds(target, support):
+        needed = support | {target}
+        return all(b - {target} in members for b in members if needed <= b)
+
+    for member in sorted(members, key=cone_key):
+        if member != full and not any(
+            target not in member and support <= member and removal_rule_holds(target, support)
+            for target, support in links
+        ):
+            return ConnectednessResult(False, ("C3", tuple(sorted(member))))
+    return ConnectednessResult(True, None)

@@ -23,10 +23,17 @@ to-fan`` on a G-set and on a collection that does not generate its
 group (a ``precondition`` envelope), and ``gset enumerate`` on a pair
 and on five elements, past the enumeration cap (exit 3); then every
 fan command on the maximal fan of Z (1,1,1) and its one-skeleton, so
-that each yes/no command has a positive and a negative record.  A record may name input files in ``files``
-(file name -> contents); they are written to the working directory
-before the command runs.  Run from the repository root with the tree
-to record on the path:
+that each yes/no command has a positive and a negative record.  The
+records of ``CHANGED`` come last, one for each output that was changed
+on purpose after the records above: ``gset check`` and ``gset
+enumerate`` on a collection that does not generate its group (the
+``precondition`` envelope), ``gale linear`` and ``check suitable`` with
+a coordinate of 2^64 (printed as a decimal string), and each two-input
+command whose second input names standard input while the first reads
+it (the ``input`` envelope).  A record may name input files in
+``files`` (file name -> contents); they are written to the working
+directory before the command runs.  Run from the repository root
+with the tree to record on the path:
 
     PYTHONPATH=src python3 tests/record_golden.py > tests/golden_cli.json
 """
@@ -168,6 +175,21 @@ REMAINING = [
     ),
 ]
 
+P2_SKELETON = {"config": P2_CONFIG, "cones": [[1], [2], [3]]}
+Z22_PAIR = {"group": {"free_rank": 1, "torsion": []}, "collection": [[2], [2]]}
+BIG_CONFIG = {"rank": 2, "vectors": [[1, 0], [0, 1], [2**64, 1]]}
+BIG_SUITABLE = {"rank": 2, "vectors": [[1, 0], [2**64, 1]]}
+
+CHANGED = [
+    ("not generating: Z (2,2)", ["gset", "check"], dict(Z22_PAIR, members=[[1], [2], [1, 2]])),
+    ("not generating: Z (2,2)", ["gset", "enumerate"], Z22_PAIR),
+    ("a coordinate of 2^64", ["gale", "linear"], BIG_CONFIG),
+    ("a coordinate of 2^64", ["check", "suitable"], BIG_SUITABLE),
+    ("both inputs from stdin", ["gale", "equivalent", "-j", "-"], P2_PAIR),
+    ("both inputs from stdin", ["gset", "from-fan", "-f", "-"], P2_PAIR),
+    ("both inputs from stdin", ["classify", "big-open", "-m", "-"], P2_SKELETON),
+]
+
 
 OVERLAPPING_FAN = {
     "config": {"rank": 2, "vectors": [[1, 0], [0, 1], [-1, -1], [1, 1]]},
@@ -257,6 +279,8 @@ def record() -> list[dict]:
     add(name, ["check", "strongly-regular"], skeleton)
     add(name, ["fan", "connect", "--cone", "1", "--facet", ""], skeleton)
     add(name, ["classify", "big-open", "-m", "maximal.json"], skeleton, {"maximal.json": p2_fan})
+    for name, argv, document in CHANGED:
+        add(name, argv, json.dumps(document))
     return cases
 
 

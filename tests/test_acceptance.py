@@ -21,7 +21,7 @@ from conftest import (
     random_element,
     random_generating_collection,
 )
-from oracles import coefficient_bound, cones_meet_by_gale_duality
+from oracles import c3_by_link_list, coefficient_bound, cones_meet_by_gale_duality
 from galefan import (
     AbelianGroup,
     ElementCollection,
@@ -36,6 +36,7 @@ from galefan import (
     configs_equivalent,
     direct_sum_collection,
     enumerate_connected_gsets,
+    generates_full_semigroup,
     gset_from_subfan,
     inverse_gale_transform,
     is_admissible,
@@ -217,6 +218,57 @@ def test_one_skeleton_counterexample(report):
     ok = ok and is_connected_gset(full_gset).connected
     ok = ok and is_strongly_regular(maximal).strongly_regular
     report("skeleton-counterexample", ok, "co-singleton family fails C3 and rigidity")
+
+
+def test_connectedness_agrees_with_the_link_list(report):
+    # families holding every co-singleton and upward closed, so (C1) and
+    # (C2) hold and (C3) decides each: the co-singletons alone, and with
+    # the members above one more generating subset.  Small families fail
+    # (C3) most often, and entries in [-1, 1] repeat values, which gives
+    # links; the groups with a free part and torsion give failures with
+    # torsion, so Z+Z/2 is drawn twice as often
+    rng = random.Random(3)
+    groups = [
+        AbelianGroup(1, ()),
+        AbelianGroup(2, ()),
+        AbelianGroup(0, (2,)),
+        AbelianGroup(0, (3,)),
+        AbelianGroup(0, (2, 2)),
+    ] + [AbelianGroup(1, (2,))] * 2
+    pairs = families = failures = torsion_families = torsion_failures = 0
+    ok = True
+    while pairs < 40:
+        group = rng.choice(groups)
+        r = rng.randint(3, 5)
+        coll = random_generating_collection(rng, group, r, height=1)
+        if coll is None or not is_admissible(coll).admissible:
+            continue
+        pairs += 1
+        full = frozenset(range(r))
+        generating = [
+            frozenset(s)
+            for k in range(1, r - 1)
+            for s in combinations(range(r), k)
+            if generates_full_semigroup(coll, s)
+        ]
+        base = frozenset([full] + [full - {i} for i in range(r)])
+        closures = {base} | {base | {m for m in generating if g <= m} for g in generating}
+        for members in closures:
+            gset = GSet(coll, members)
+            res = is_connected_gset(gset)
+            ok = ok and res == c3_by_link_list(gset)
+            families += 1
+            failures += not res.connected
+            if group.torsion:
+                torsion_families += 1
+                torsion_failures += not res.connected
+    ok = ok and failures >= 20 and torsion_failures >= 3
+    report(
+        "connectedness-referee",
+        ok,
+        f"{families} families of {pairs} pairs, {failures} fail C3; "
+        f"with torsion {torsion_families} and {torsion_failures}",
+    )
 
 
 def test_gset_subfan_bijection(report):

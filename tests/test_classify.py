@@ -10,6 +10,7 @@ from galefan import (
     GSet,
     InvalidFanError,
     NotAdmissibleError,
+    NotGeneratingError,
     SimplicialFan,
     VectorConfiguration,
     build_maximal_fan,
@@ -170,6 +171,9 @@ def test_gset_validation():
         GSet(coll, frozenset({full, frozenset({7})}))
     with pytest.raises(ValueError, match="does not generate"):
         GSet(ints(0, 1, 1), frozenset({full, frozenset({0})}))
+    # 2 and 2 generate the full semigroup of their values, but not Z
+    with pytest.raises(NotGeneratingError, match="does not generate its group"):
+        GSet(ints(2, 2), frozenset({frozenset({0}), frozenset({1}), frozenset({0, 1})}))
 
 
 def _sheared(fan):
@@ -246,6 +250,17 @@ def test_connectedness_c2():
     assert not res.connected and res.violation == ("C2", ((0,), 1))
 
 
+def test_connectedness_check_keeps_the_link_cap():
+    # (C1) and (C2) hold, so (C3) is reached, and 11 elements are past its cap
+    coll = ints(*[1] * 11)
+    full = frozenset(range(11))
+    gs = GSet(coll, frozenset([full] + [full - {i} for i in range(11)]))
+    with pytest.raises(CapExceededError, match="r <= 10, got 11"):
+        is_connected_gset(gs)
+    # a family that fails (C1) is answered before the cap is looked at
+    assert is_connected_gset(GSet(coll, frozenset({full}))).violation == ("C1", 0)
+
+
 def test_enumerate_connected_gsets_triple():
     gsets = enumerate_connected_gsets(ints(1, 1, 1))
     assert len(gsets) == 4
@@ -263,6 +278,8 @@ def test_enumerate_connected_gsets_small():
     )
     with pytest.raises(CapExceededError):
         enumerate_connected_gsets(ints(1, 1, 1, 1, 1))
+    with pytest.raises(NotGeneratingError, match="does not generate its group"):
+        enumerate_connected_gsets(ints(2, 2))
 
 
 def test_gsets_biject_with_strongly_regular_subfans():

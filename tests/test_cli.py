@@ -515,6 +515,14 @@ def test_precondition_errors_exit_2(cli):
     assert code == 2
     assert json.loads(out)["error"]["type"] == "precondition"
 
+    # every gset command refuses that collection the same way
+    refused = {"error": {"type": "precondition", "message": "collection does not generate its group"}}
+    gset = not_generating[:-1] + ',"members":[[1],[2],[1,2]]}'
+    for argv, document in ((["gset", "check"], gset), (["gset", "to-fan"], gset),
+                           (["gset", "enumerate"], not_generating)):
+        code, out, _ = cli(argv, stdin=document)
+        assert (code, json.loads(out)) == (2, refused), argv
+
 
 def test_cap_exceeded_exit_3(cli):
     five = {"group": {"free_rank": 1, "torsion": []}, "collection": [[1]] * 5}
@@ -544,17 +552,26 @@ def test_root_scan_past_the_cap_exits_3_at_once(cli):
     assert "(2*100+1)^3 = 8120601 covectors" in json.loads(out)["error"]["message"]
 
 
-def test_argv_errors_get_the_input_envelope(cli):
-    # a two-input command without its second file names the flag instead
-    # of reading stdin twice
-    for argv, stdin, flag in (
-        (["gale", "equivalent"], P2_PAIR, "-j/--other"),
-        (["gset", "from-fan"], P2_PAIR, "-f/--fan"),
-        (["classify", "big-open"], P2_FAN, "-m/--maximal"),
+def test_argv_errors_get_the_input_envelope(cli, tmp_path):
+    # a two-input command without its second file, or whose second input
+    # is stdin while the first reads it, names the flag instead of
+    # reading stdin twice
+    missing = ": the second input file is missing"
+    taken = ": standard input already holds the first input"
+    for argv, stdin, flag, why in (
+        (["gale", "equivalent"], P2_PAIR, "-j/--other", missing),
+        (["gset", "from-fan"], P2_PAIR, "-f/--fan", missing),
+        (["classify", "big-open"], P2_FAN, "-m/--maximal", missing),
+        (["gale", "equivalent", "-j", "-"], P2_PAIR, "-j/--other", taken),
+        (["gset", "from-fan", "-f", "-"], P2_PAIR, "-f/--fan", taken),
+        (["classify", "big-open", "-i", "-", "-m", "-"], P2_FAN, "-m/--maximal", taken),
     ):
         code, out, err = cli(argv, stdin=json.dumps(stdin))
-        message = flag + ": the second input file is missing"
-        assert (code, json.loads(out), err) == (2, {"error": {"type": "input", "message": message}}, "")
+        assert (code, json.loads(out), err) == (2, {"error": {"type": "input", "message": flag + why}}, "")
+    # with the first input in a file, stdin holds the second
+    fan_file = jfile(tmp_path, "fan.json", P2_FAN)
+    code, out, _ = cli(["classify", "big-open", "-i", fan_file, "-m", "-"], stdin=json.dumps(P2_FAN))
+    assert (code, json.loads(out)) == (0, {"big_open": True})
     # what the parser refuses gets the envelope too, with the parser's message
     for argv, words in (
         (["gale", "transform", "--bound", "3"], "unrecognized arguments: --bound 3"),
@@ -600,6 +617,13 @@ def test_big_integers_round_trip_as_strings(cli):
     assert payload["configuration"]["vectors"][0][0] == str(big)
     code2, out2, _ = cli(["gale", "canonical"], stdin=json.dumps(payload["configuration"]))
     assert code2 == 0 and out2 == out
+    # vectors and witnesses outside the configuration codec too
+    config = {"rank": 2, "vectors": [[1, 0], [0, 1], [big, 1]]}
+    code, out, _ = cli(["gale", "linear"], stdin=json.dumps(config))
+    assert (code, json.loads(out)) == (0, {"dimension": 1, "vectors": [[str(-big)], [-1], [1]]})
+    config = {"rank": 2, "vectors": [[1, 0], [big, 1]]}
+    code, out, _ = cli(["check", "suitable"], stdin=json.dumps(config))
+    assert (code, json.loads(out)["witnesses"]) == (0, [[-1, str(big)], [0, -1]])
 
 
 def test_output_is_deterministic(cli):
@@ -773,10 +797,13 @@ def test_golden_cli_corpus_is_byte_identical(cli, tmp_path, monkeypatch):
     # of every fan command on overlapping cones, and of classify
     # semisimple, gale equivalent, check one-skeleton and torsion-free
     # classify pair, then of every command no record above reached and
-    # of each yes/no command's missing positive or negative answer;
-    # re-record only on purpose
+    # of each yes/no command's missing positive or negative answer, and
+    # last of the outputs changed on purpose since (G-set commands on a
+    # collection that does not generate its group, 2^64 through gale
+    # linear and check suitable, both inputs of a two-input command
+    # named as stdin); re-record only on purpose
     corpus = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
-    assert len(corpus) == 103
+    assert len(corpus) == 110
     monkeypatch.chdir(tmp_path)
     for case in corpus:
         for name, text in case.get("files", {}).items():

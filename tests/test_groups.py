@@ -8,12 +8,10 @@ import pytest
 
 from galefan import (
     AbelianGroup,
-    CapExceededError,
     ElementCollection,
     IntMatrix,
     direct_sum,
     direct_sum_collection,
-    enumerate_links,
     generates_full_semigroup,
     generates_group,
     group_from_cokernel,
@@ -384,25 +382,6 @@ def test_link_on_distinct_values_matches_raw_membership():
                             total = total + c * coll[i]
                         assert total == coll[target]
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
-
-
-def test_enumerate_links_order_and_validity():
-    z = AbelianGroup(1, ())
-    coll = ElementCollection(z, (z.element((1,)), z.element((1,)), z.element((2,))))
-    links = enumerate_links(coll)
-    assert links
-    for link in links:
-        assert link.target not in link.support
-        total = z.zero()
-        for c, i in zip(link.coefficients, sorted(link.support)):
-            assert c >= 1
-            total = total + c * coll[i]
-        assert total == coll[link.target]
-    targets = [link.target for link in links]
-    assert targets == sorted(targets)
-    big = ElementCollection(z, tuple(z.element((1,)) for _ in range(11)))
-    with pytest.raises(CapExceededError):
-        enumerate_links(big)
 
 
 def test_direct_sum_renormalizes():
