@@ -34,6 +34,7 @@ from .linalg import (
     LinearSystem,
     Vector,
     ilp_feasible,
+    integer_kernel,
     lp_feasible,
     matrix_rank,
     smith_normal_form,
@@ -177,9 +178,11 @@ def cones_meet_in_common_face(
 ) -> bool:
     """Do the two simplicial cones intersect exactly in a common face?
 
-    Decided by searching for a separating covector that vanishes
-    precisely on the shared generators, is positive on the rest of the
-    left cone and negative on the rest of the right cone.
+    They do exactly when some covector vanishes on the shared
+    generators, is positive on the rest of the left cone and negative on
+    the rest of the right cone.  When the generators of both cones carry
+    at most one linear relation, its sign pattern decides with no LP
+    (see ``_separated``); otherwise an LP searches for the covector.
     """
     li = frozenset(left)
     ri = frozenset(right)
@@ -190,9 +193,27 @@ def cones_meet_in_common_face(
 
 
 def _separated(config: VectorConfiguration, li: frozenset, ri: frozenset) -> bool:
-    # is some covector 0 on li & ri, >= 1 on the rest of li and <= -1 on
-    # the rest of ri?  On simplicial cones, that is cones_meet_in_common_face
+    """Is some covector 0 on li & ri, >= 1 on the rest of li and <= -1 on
+    the rest of ri?  On simplicial cones, that is cones_meet_in_common_face.
+
+    By Motzkin's transposition theorem there is none exactly when some
+    linear relation c among the vectors of li | ri is >= 0 on li - ri,
+    <= 0 on ri - li and nonzero on one of them.  So the space K of those
+    relations decides two cases with no LP: when K = 0 the covector
+    exists, and when K is a line the sign pattern of its spanning
+    relation, up to sign, decides.  Only dim K >= 2 asks the LP.
+    """
     shared = li & ri
+    union = sorted(li | ri)
+    columns = config.column_matrix(union)
+    nullity = len(union) - matrix_rank(columns)
+    if nullity == 0:
+        return True
+    if nullity == 1:
+        (c,) = integer_kernel(columns)
+        signed = [x if i in li else -x for i, x in zip(union, c) if i not in shared]
+        # a certificate needs every signed entry of one weak sign, not all 0
+        return not any(signed) or max(signed) > 0 > min(signed)
     eqs = tuple((config[i], 0) for i in sorted(shared))
     ins = tuple((config[i], 1) for i in sorted(li - shared)) + tuple(
         (tuple(-c for c in config[j]), 1) for j in sorted(ri - shared)
@@ -212,10 +233,11 @@ def validate_fan(fan: SimplicialFan) -> FanReport:
     Separation is checked only between inclusion-maximal simplicial
     cones: faces of two simplicial cones that meet in a common face
     meet in a common face too, and two faces of one simplicial cone
-    always do (so a pair whose union is simplicial needs no LP).  A
-    ``bad-intersection`` violation therefore names a pair of maximal
-    cones, and the fan is valid exactly when every pair of its
-    simplicial cones meets in a common face.
+    always do.  A ``bad-intersection`` violation therefore names a pair
+    of maximal cones, and the fan is valid exactly when every pair of
+    its simplicial cones meets in a common face.  A pair whose rays
+    carry at most one linear relation, as neighbours across a facet do,
+    needs no LP (see ``_separated``).
     """
     config = fan.config
     violations: list[FanViolation] = []
@@ -267,7 +289,7 @@ def validate_fan(fan: SimplicialFan) -> FanReport:
                 )
     maximal = [c for c in simplicial if not any(c < d for d in simplicial)]
     for a, b in combinations(maximal, 2):
-        if not _is_simplicial(config, a | b) and not _separated(config, a, b):
+        if not _separated(config, a, b):
             violations.append(
                 FanViolation(
                     "bad-intersection",

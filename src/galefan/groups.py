@@ -282,9 +282,8 @@ def _semigroup_membership_cached(
         # torsion multipliers are unbounded in sign, which can send the
         # branch and bound wandering, so every variable is boxed by
         # _search_radius: coefficients in [0, bound], multipliers in
-        # [-bound, bound].  The proven radius is about (n+1)*Delta, Delta
-        # the largest minor (see _search_radius); the box relies on the
-        # slack of the Hadamard product above Delta to cover it
+        # [-bound, bound].  The box holds a solution whenever one exists
+        # (proved in _search_radius), so it never changes the answer
         bound = _search_radius(target, gens)
         for i in range(r + s):
             unit = tuple(1 if j == i else 0 for j in range(r + s))
@@ -306,18 +305,31 @@ def _semigroup_membership_cached(
 
 
 def _search_radius(target: GroupElement, gens: Sequence[GroupElement]) -> int:
-    """Search box for semigroup membership with torsion: a Hadamard product.
+    """Search box for semigroup membership with torsion: (n+1)*H.
 
-    The lifted system takes the generators and each torsion relation in
-    both signs, augmented by the target.  Every minor of it is bounded
-    by the product of its row norms, which is returned, so the result
-    is at least Delta, the largest absolute minor, without scanning
-    minors.  The proven proximity radius is larger, about (n+1)*Delta
-    for n variables: some non-negative integer solution, if one exists,
-    lies within n*Delta of a vertex of the LP relaxation, whose entries
-    are at most Delta (Cook, Gerards, Schrijver and Tardos 1986, Math.
-    Prog. 34).  The product covers that radius only through its slack
-    above Delta; no bound here proves it does.
+    The unknowns are z = (x, t): r coefficients x >= 0 and s torsion
+    multipliers t, n = r + s of them, with A z = b for the lifted matrix
+    A and the lifted target b.  H is the product over the rows of
+    [A | b] of their Euclidean norms (relation columns counted in both
+    signs, each norm rounded up, at least 1).  Claim: if some integer z
+    solves the system, one has every entry at most (n+1)*H in absolute
+    value.
+
+    Proof.  Write P = {z : A z <= b, -A z <= -b, -x <= 0} with
+    constraint matrix M.  A square submatrix of M holding a row of A and
+    its negation is singular; otherwise expanding along its unit rows
+    leaves, up to sign, a minor of A.  So every minor of M is at most
+    H by Hadamard's inequality.  P is pointed, since A (0, t) = 0 forces
+    t = 0, so a nonempty P has a vertex v, the solution of n independent
+    tight rows of M.  By Cramer's rule each entry of v is a quotient of
+    two integer determinants whose numerator is, up to sign, a minor of
+    [A | b], so |v_k| <= H.  Take an objective w for which v is optimal,
+    say the sum of its tight rows.  If P holds an integer point, the
+    integer program max {w z : z in P} has an optimum too (its values
+    are bounded by w v, and Meyer 1974 gives attainment), and some
+    optimal integer z lies within n*Delta of v in every entry, where
+    Delta <= H bounds the minors of M (Cook, Gerards, Schrijver and
+    Tardos 1986, Math. Prog. 34, Theorem 1).  So |z_k| <= H + n*H.
     """
     group = target.group
     cols = [g.lift() for g in gens]
@@ -332,7 +344,7 @@ def _search_radius(target: GroupElement, gens: Sequence[GroupElement]) -> int:
         if root * root < nsq:
             root += 1
         radius *= max(1, root)
-    return radius
+    return (len(gens) + len(group.torsion) + 1) * radius
 
 
 def generates_group(coll: ElementCollection, indices: Optional[Iterable[int]] = None) -> bool:

@@ -202,6 +202,35 @@ def test_separation_oracle_agreement(report):
     report("separation-oracles", ok, f"{agree}/{checked} agree, {meets} meet")
 
 
+def test_separation_oracle_covers_every_relation_dimension(report):
+    # the relations among the rays of both cones form a space K: dim K of
+    # 0 and 1 is decided without an LP, dim K >= 2 by the LP.  Cones of
+    # full or almost full size make large K common; the sample must hold
+    # dim K = 0, and both verdicts at dim K = 1 and at dim K >= 2
+    rng = random.Random(703)
+    checked = agree = 0
+    seen = set()
+    while checked < 300:
+        n = rng.randint(1, 4)
+        config = random_config(rng, n, rng.randint(max(n, 2), 7))
+        k = len(config)
+        size = min(n, k)
+        left = frozenset(rng.sample(range(k), rng.randint(size - 1, size)))
+        right = frozenset(rng.sample(range(k), rng.randint(size - 1, size)))
+        if matrix_rank(config.column_matrix(sorted(left))) < len(left):
+            continue
+        if matrix_rank(config.column_matrix(sorted(right))) < len(right):
+            continue
+        checked += 1
+        union = sorted(left | right)
+        dim = min(2, len(union) - matrix_rank(config.column_matrix(union)))
+        primal = cones_meet_in_common_face(config, left, right)
+        agree += primal == cones_meet_by_gale_duality(config, left, right)
+        seen.add((dim, primal))
+    ok = agree == checked and {(0, True), (1, True), (1, False), (2, True), (2, False)} <= seen
+    report("separation-relation-dims", ok, f"{agree}/{checked} agree, cases {sorted(seen)}")
+
+
 def test_one_skeleton_counterexample(report):
     coll = ints(1, 1, 1)
     full = frozenset(range(3))

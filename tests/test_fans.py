@@ -436,6 +436,33 @@ def test_strong_regularity_of_small_maximal_fans_needs_no_lp(monkeypatch):
         assert is_strongly_regular(fan).strongly_regular
 
 
+def test_revalidating_small_maximal_fans_needs_no_lp(monkeypatch):
+    # Z(1,1,1), Z(1,1,1,1), Z(1,1,2,3) and Z/2(1,1) + Z(1,1,1): the rays
+    # of every pair of maximal cones carry at most one linear relation,
+    # so its sign pattern decides separation of the 3, 6, 1 and 12 pairs
+    # whose union is not simplicial
+    z, z2 = AbelianGroup(1, ()), AbelianGroup(0, (2,))
+
+    def ints(*values):
+        return ElementCollection(z, tuple(z.element((v,)) for v in values))
+
+    halves = ElementCollection(z2, (z2.element((), (1,)),) * 2)
+    fans = [
+        build_maximal_fan(ints(1, 1, 1)),
+        build_maximal_fan(ints(1, 1, 1, 1)),
+        build_maximal_fan(ints(1, 1, 2, 3)),
+        build_maximal_fan(direct_sum_collection(halves, ints(1, 1, 1))),
+    ]
+
+    def no_lp(system):
+        raise AssertionError("an LP was asked")
+
+    monkeypatch.setattr(fans_module, "lp_feasible", no_lp)
+    monkeypatch.setattr(linalg_module, "lp_feasible", no_lp)
+    for fan in fans:
+        assert SimplicialFan(fan.config, fan.cones).cones == fan.cones
+
+
 def test_he_connected_pairs():
     fan = projective_plane()
     pairs = he_pairs(fan, (-1, 1), 0)
