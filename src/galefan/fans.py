@@ -16,7 +16,6 @@ regular here.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 from typing import AbstractSet, Iterable, Optional, Sequence
@@ -409,10 +408,6 @@ def root_connecting(
     return False, None
 
 
-# one strong-regularity check meets the same (ray, zero set, positives)
-# pattern from many cones that share the ray; maximal fans of equal
-# collections with torsion ask the same membership patterns again
-@lru_cache(maxsize=65536)
 def _covector_for_pattern(
     vectors: tuple[Vector, ...],
     rho: int,
@@ -424,7 +419,8 @@ def _covector_for_pattern(
     at least ``low`` on the others, or None if there is none.
 
     ``low`` is 1 for a root that cuts out a face, 0 for suitability and
-    for semigroup membership read through the Gale dual.
+    for semigroup membership read through the Gale dual.  A pattern met
+    again builds an equal system, which ``ilp_feasible``'s memo answers.
     """
     eqs = [(vectors[rho], -1)]
     eqs += [(vectors[k], 0) for k in zeros]

@@ -10,7 +10,6 @@ integer feasibility problem with non-negative coefficients.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
@@ -255,24 +254,13 @@ def semigroup_membership(
     """Is target a non-negative integer combination of the generators?
 
     Returns the coefficient vector (one entry per generator) as witness.
-    The empty combination is allowed, so zero is always a member.
+    The empty combination is allowed, so zero is always a member.  Equal
+    questions build equal integer systems, which ``ilp_feasible`` solves once.
     """
     group = target.group
     for g in gens:
         if g.group != group:
             raise ValueError("generators belong to a different group")
-    return _semigroup_membership_cached(target, tuple(gens))
-
-
-# generates_full_semigroup, and _in_semigroup_outside on torsion-free
-# groups, pass distinct generator values sorted by lift, so index sets
-# with equal value sets share one key; repeats come from the subset
-# scans of one collection and from collections that share a summand
-@lru_cache(maxsize=65536)
-def _semigroup_membership_cached(
-    target: GroupElement, gens: tuple[GroupElement, ...]
-) -> tuple[bool, Optional[Vector]]:
-    group = target.group
     r = len(gens)
     s = len(group.torsion)
     mat = _lifted_matrix(gens, group)
@@ -348,9 +336,16 @@ def _search_radius(target: GroupElement, gens: Sequence[GroupElement]) -> int:
 
 
 def generates_group(coll: ElementCollection, indices: Optional[Iterable[int]] = None) -> bool:
-    """Do the chosen elements generate the whole group?"""
+    """Do the chosen elements generate the whole group?
+
+    ``Z^f ⊕ Z/d1 ⊕ ... ⊕ Z/ds`` needs f + s generators (tensor with Z/p,
+    p a prime dividing every dj), so fewer are refused without a Smith form.
+    """
     idx = coll.indices if indices is None else sorted(set(indices))
-    mat = _lifted_matrix(coll.take(idx), coll.group)
+    gens = coll.take(idx)
+    if len(gens) < coll.group.coords:
+        return False
+    mat = _lifted_matrix(gens, coll.group)
     snf = smith_normal_form(mat)
     if snf.rank < coll.group.coords:
         return False
@@ -375,7 +370,7 @@ def generates_full_semigroup(coll: ElementCollection, indices: Iterable[int]) ->
 
 
 def _distinct_values(elements: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
-    # sorted by lift so that equal generator sets share one memo key
+    # sorted by lift: equal value sets build equal systems, one memo entry
     return tuple(sorted(set(elements), key=GroupElement.lift))
 
 

@@ -12,6 +12,7 @@ import random
 import pytest
 
 import galefan.groups
+import galefan.linalg
 from galefan import (
     AbelianGroup,
     ElementCollection,
@@ -25,9 +26,17 @@ TORSION_CHAINS = [(), (2,), (3,), (4,), (5,), (6,), (2, 2), (2, 4), (3, 3)]
 
 
 @pytest.fixture
+def clear_ilp_memo():
+    """The function that empties ``ilp_feasible``'s memo.  The memo lives
+    for the whole session, so a test that counts or forbids the work of
+    a solve clears it first, or a memo hit passes the test vacuously."""
+    return galefan.linalg.ilp_feasible.cache_clear
+
+
+@pytest.fixture
 def covector_answers(monkeypatch) -> list:
-    """Every answer of the covector search that ``galefan.groups`` asks,
-    memo hits included: True when a covector exists."""
+    """Every answer of the covector search that ``galefan.groups`` asks:
+    True when a covector exists."""
     answers = []
     search = galefan.groups._covector_for_pattern
 

@@ -524,6 +524,24 @@ def test_precondition_errors_exit_2(cli):
         assert (code, json.loads(out)) == (2, refused), argv
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["check", "admissible"], (1, {"admissible": False, "generates": False, "failing_index": None})),
+        (["classify", "pair"], (2, {"error": {"type": "precondition",
+                                              "message": "collection does not generate its group"}})),
+    ],
+)
+def test_too_few_elements_for_a_large_group_answer_at_once(cli, argv, expected):
+    # Z^30000 needs 30000 generators; no Smith form of a 30000 x 30000
+    # transform is built to find that out
+    pair = '{"group":{"free_rank":30000,"torsion":[]},"collection":[]}'
+    start = time.perf_counter()
+    code, out, _ = cli(argv, stdin=pair)
+    assert time.perf_counter() - start < 1
+    assert (code, json.loads(out)) == expected
+
+
 def test_cap_exceeded_exit_3(cli):
     five = {"group": {"free_rank": 1, "torsion": []}, "collection": [[1]] * 5}
     code, out, _ = cli(["gset", "enumerate"], stdin=json.dumps(five))

@@ -413,7 +413,7 @@ def test_root_search_from_largest_zero_set_keeps_every_verdict():
     assert seen[True] and seen[False]
 
 
-def test_strong_regularity_of_small_maximal_fans_needs_no_lp(monkeypatch):
+def test_strong_regularity_of_small_maximal_fans_needs_no_lp(monkeypatch, clear_ilp_memo):
     # Z(1,1,1), Z/2(1,1) + Z/3(1,1) and Z/4(1,1) + Z/2(1,1): every root
     # pattern of their maximal fans leaves at most one unknown
     def ones(free_rank, torsion, r):
@@ -430,7 +430,7 @@ def test_strong_regularity_of_small_maximal_fans_needs_no_lp(monkeypatch):
     def no_lp(system):
         raise AssertionError("an LP was asked")
 
-    fans_module._covector_for_pattern.cache_clear()
+    clear_ilp_memo()
     monkeypatch.setattr(linalg_module, "lp_feasible", no_lp)
     for fan in fans:
         assert is_strongly_regular(fan).strongly_regular

@@ -211,6 +211,10 @@ def test_generates_group_cases():
     assert not generates_group(ElementCollection(zz, (zz.element((1, 0)),)))
     triv = AbelianGroup(0, ())
     assert generates_group(ElementCollection(triv, ()))
+    # Z^300 + Z/2 needs 301 generators, and 300 standard ones fall short
+    big = AbelianGroup(300, (2,))
+    units = [big.element(tuple(int(i == j) for j in range(300)), (0,)) for i in range(300)]
+    assert not generates_group(ElementCollection(big, tuple(units)))
 
 
 def test_generates_full_semigroup_cases():

@@ -335,13 +335,15 @@ def test_ilp_with_one_unknown_agrees_with_brute_force():
     assert all(seen.values())
 
 
-def test_ilp_with_one_unknown_asks_no_lp(monkeypatch):
+def test_ilp_with_one_unknown_asks_no_lp(monkeypatch, clear_ilp_memo):
     def no_lp(system):
         raise AssertionError("an LP was asked")
 
     rng = random.Random(61)
     systems = one_unknown_systems(rng, 200)
     want = [ilp_feasible(system) for system in systems]
+    # the second round must solve again, not read the first from the memo
+    clear_ilp_memo()
     monkeypatch.setattr(linalg_module, "lp_feasible", no_lp)
     assert [ilp_feasible(system) for system in systems] == want
 
@@ -359,6 +361,50 @@ def test_ilp_integer_gaps():
         LinearSystem(2, equalities=(((1, 1), 7),), inequalities=(((1, 0), 3), ((0, 1), 3)))
     )
     assert ok and sorted(w) == [3, 4]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        (((-3, 1), -12), ((-3, -4), -3), ((4, 3), 7), ((4, -3), 1)),
+        (((4, -1), 5), ((-5, -3), 2), ((3, 5), -9)),
+    ],
+)
+def test_branch_and_bound_exhausts_a_bounded_region_without_integer_points(
+    rows, clear_ilp_memo
+):
+    # two unknowns, no row forced tight, a rational point but no integer
+    # one: only an exhausted branch and bound search can answer "no"
+    system = LinearSystem(2, inequalities=rows)
+    assert lp_feasible(system)[0]
+    # no point of the LP region has a coordinate of 6 or more in absolute
+    # value, so its integer points lie in the box [-5, 5]^2
+    radius = 5
+    for j in range(2):
+        for sign in (1, -1):
+            unit = tuple(sign if i == j else 0 for i in range(2))
+            past = LinearSystem(2, inequalities=rows + ((unit, radius + 1),))
+            assert not lp_feasible(past)[0]
+    assert brute_force_ilp(system, radius) is None
+    clear_ilp_memo()
+    assert ilp_feasible(system) == (False, None)
+
+
+def test_ilp_feasible_is_the_one_memo():
+    # one memo mechanism: every other function asks its integer questions
+    # through ilp_feasible and keeps no cache of its own
+    import importlib
+    import pkgutil
+
+    import galefan
+
+    memos = {}
+    for info in pkgutil.iter_modules(galefan.__path__):
+        module = importlib.import_module(f"galefan.{info.name}")
+        for value in vars(module).values():
+            members = [value] + (list(vars(value).values()) if isinstance(value, type) else [])
+            memos.update((id(m), m) for m in members if hasattr(m, "cache_info"))
+    assert list(memos.values()) == [ilp_feasible]
 
 
 def test_ilp_witnesses_are_small():
