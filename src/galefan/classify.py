@@ -6,7 +6,7 @@ with the complete ray set correspond bijectively to connected families
 of generating subcollections.  Classification predicates (affine,
 complete, quasiaffine, product splitting, rank-one sign types, and the
 repeated-value shapes coming from semisimple group actions) are decided
-exactly from the collection.
+exactly from the collection and its Gale dual.
 """
 
 from __future__ import annotations
@@ -22,22 +22,25 @@ from .errors import (
     NotAdmissibleError,
     NotGeneratingError,
 )
-from .fans import SimplicialFan, VectorConfiguration, _numbered, cone_key, is_regular_cone
-# unused: perfbench's tracing probe wants this binding until ROADMAP item 2
-from .fans import validate_fan  # noqa: F401
+from .fans import (
+    SimplicialFan,
+    VectorConfiguration,
+    _numbered,
+    cone_key,
+    is_regular_cone,
+    is_strictly_convex,
+)
 from .gale import configs_equivalent, inverse_gale_transform
 from .groups import (
     ElementCollection,
     GroupElement,
     _in_semigroup_outside,
-    _relation_basis,
     generates_full_semigroup,
     generates_group,
     is_admissible,
     is_link,
     semigroup_membership,
 )
-from .linalg import LinearSystem, determinant, IntMatrix, lp_feasible, matrix_rank
 
 ENUMERATE_GSETS_CAP = 4
 ENUMERATE_LINKS_CAP = 10
@@ -275,50 +278,22 @@ def _value_index_groups(coll: ElementCollection) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v) for v in sorted(groups.values()))
 
 
-def _is_complete_pair(coll: ElementCollection) -> bool:
-    group = coll.group
-    if group.torsion:
-        return False
-    value_groups = _value_index_groups(coll)
-    if len(value_groups) != group.free_rank:
-        return False
-    if any(len(g) < 2 for g in value_groups):
-        return False
-    values = [coll[g[0]].free for g in value_groups]
-    mat = IntMatrix.from_columns(values, rows=group.free_rank)
-    return determinant(mat) in (1, -1)
-
-
-def _positively_spans(coll: ElementCollection) -> bool:
-    # the free parts span Q^f, and a combination of them with every
-    # coefficient >= 1 vanishes, so each -v_i is a non-negative one
-    f = coll.group.free_rank
-    if f == 0:
-        return True
-    frees = IntMatrix.from_columns([e.free for e in coll], rows=f)
-    if matrix_rank(frees) < f:
-        return False
-    r = len(coll)
-    eqs = tuple((row, 0) for row in frees.entries)
-    ins = tuple((tuple(int(j == i) for j in range(r)), 1) for i in range(r))
-    ok, _ = lp_feasible(LinearSystem(r, equalities=eqs, inequalities=ins))
-    return ok
-
-
-def _finest_product_partition(coll: ElementCollection) -> tuple[tuple[int, ...], ...]:
+def _finest_product_partition(
+    coll: ElementCollection, relations: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
     """Finest index partition splitting the pair into a direct sum.
 
     A part is admissible for the split (closed) when every relation
-    among the elements restricts to a relation on the part; checking a
-    basis of the relation lattice suffices.  Closed sets are closed
-    under complement and intersection, so the finest split is unique:
-    the part of i is the intersection of all closed sets containing i.
-    Only unions of classes are scanned: equal nonzero values share every
-    closed set (their difference is a relation), and a zero element is
-    closed on its own, so it is a class by itself.
+    among the elements restricts to a relation on the part; checking
+    ``relations``, a basis of the relation lattice, suffices.  Closed
+    sets are closed under complement and intersection, so the finest
+    split is unique: the part of i is the intersection of all closed
+    sets containing i.  Only unions of classes are scanned: equal
+    nonzero values share every closed set (their difference is a
+    relation), and a zero element is closed on its own, so it is a
+    class by itself.
     """
     r = len(coll)
-    relations = _relation_basis(coll)
     classes = [sum(1 << i for i in g) for g in _value_index_groups(coll) if not coll[g[0]].is_zero]
     classes += [1 << i for i in range(r) if coll[i].is_zero]
 
@@ -367,23 +342,31 @@ def _rank_one_type(coll: ElementCollection) -> tuple[Optional[int], Optional[boo
 def classify_pair(coll: ElementCollection) -> ClassificationReport:
     """Geometric classification of an admissible pair.
 
-    Affine means trivial group; complete means a torsion-free group
-    whose distinct values form a basis, each repeated at least twice;
-    quasiaffine means the free parts positively span the rational
-    vector space.  The finest product split, the rank-one sign type
-    (with the regular-locus test for all-positive collections), and
-    the repeated-value shape flag round out the report.
+    Affine means trivial group.  Complete means a torsion-free group
+    with f distinct values, each repeated at least twice, that generate
+    it (f values generate Z^f exactly when they form a basis).
+    Quasiaffine means the free parts positively span the rational
+    vector space: a relation among the elements with every coefficient
+    >= 1 exists, that is, a covector >= 1 on every ray of the Gale dual,
+    so the rays are strictly convex.  The dual's rays also carry the
+    relation basis that the finest product split checks.  The rank-one
+    sign type (with the regular-locus test for all-positive
+    collections) and the repeated-value shape flag round out the report.
     """
     _require_admissible(coll)
+    config = inverse_gale_transform(coll)
     rank_one, locus = _rank_one_type(coll)
+    value_groups = _value_index_groups(coll)
+    shape = _has_shape(coll, value_groups)
+    group = coll.group
     return ClassificationReport(
-        affine=coll.group.is_trivial,
-        complete=_is_complete_pair(coll),
-        quasiaffine=_positively_spans(coll),
-        product_parts=_finest_product_partition(coll),
+        affine=group.is_trivial,
+        complete=not group.torsion and len(value_groups) == group.free_rank and shape,
+        quasiaffine=is_strictly_convex(config, config.indices),
+        product_parts=_finest_product_partition(coll, tuple(zip(*config.vectors))),
         rank_one_type=rank_one,
         type2_regular_locus=locus,
-        semisimple_shape=_has_shape(coll, _value_index_groups(coll)),
+        semisimple_shape=shape,
     )
 
 

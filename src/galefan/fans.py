@@ -32,7 +32,8 @@ from .linalg import (
     IntMatrix,
     LinearSystem,
     Vector,
-    ilp_feasible,
+    _covector_for_pattern,
+    dot,
     integer_kernel,
     lp_feasible,
     matrix_rank,
@@ -42,10 +43,6 @@ from .linalg import (
 Cone = frozenset
 
 ROOTS_SCAN_CAP = 500_000
-
-
-def dot(v: Sequence[int], w: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(v, w))
 
 
 def is_primitive(v: Sequence[int]) -> bool:
@@ -406,28 +403,6 @@ def root_connecting(
                     raise InternalError(f"covector {e} fails the root conditions")
                 return True, root
     return False, None
-
-
-def _covector_for_pattern(
-    vectors: tuple[Vector, ...],
-    rho: int,
-    zeros: tuple[int, ...],
-    others: tuple[int, ...],
-    low: int,
-) -> Optional[Vector]:
-    """Integer covector with value -1 on vectors[rho], 0 on the zeros and
-    at least ``low`` on the others, or None if there is none.
-
-    ``low`` is 1 for a root that cuts out a face, 0 for suitability and
-    for semigroup membership read through the Gale dual.  A pattern met
-    again builds an equal system, which ``ilp_feasible``'s memo answers.
-    """
-    eqs = [(vectors[rho], -1)]
-    eqs += [(vectors[k], 0) for k in zeros]
-    ins = tuple((vectors[j], low) for j in others)
-    n = len(vectors[rho])
-    ok, e = ilp_feasible(LinearSystem(n, equalities=tuple(eqs), inequalities=ins))
-    return e if ok else None
 
 
 class StrongRegularityResult(Record):

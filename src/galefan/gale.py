@@ -24,9 +24,7 @@ from .groups import (
     generates_group,
     group_from_cokernel,
 )
-# lp_feasible is unused here; the binding stays because perfbench's
-# tracing test checks that it is wrapped in this module
-from .linalg import Vector, integer_kernel, lp_feasible, row_hermite_form  # noqa: F401
+from .linalg import Vector, integer_kernel, row_hermite_form
 from .fans import VectorConfiguration
 
 PAIR_EQUIVALENCE_CANDIDATE_CAP = 40320

@@ -15,11 +15,12 @@ from typing import Iterable, Optional, Sequence
 
 from ._record import Record
 from .errors import InternalError
-from .fans import _covector_for_pattern, dot
 from .linalg import (
     IntMatrix,
     LinearSystem,
     Vector,
+    _covector_for_pattern,
+    dot,
     ilp_feasible,
     integer_kernel,
     smith_normal_form,

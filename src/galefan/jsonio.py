@@ -13,10 +13,11 @@ cones and members are ordered by size, then lexicographically.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 from .classify import GSet
-from .fans import DemazureRoot, SimplicialFan, VectorConfiguration, cone_key
+from .fans import DemazureRoot, SimplicialFan, VectorConfiguration
 from .groups import AbelianGroup, ElementCollection, GroupElement
 
 _I64_MAX = 2**63 - 1
@@ -39,10 +40,20 @@ def _dec_int(value: Any, what: str) -> int:
     if isinstance(value, str):
         s = value.strip()
         stripped = s[1:] if s[:1] in "+-" else s
-        if stripped.isdigit():
+        if not stripped.isdecimal():
+            raise InputFormatError(f"{what}: invalid integer string {value!r}")
+        try:
             return int(s)
-        raise InputFormatError(f"{what}: invalid integer string {value!r}")
+        except ValueError as exc:
+            # int reads every decimal digit, so only the length limit is left
+            raise _too_long(what) from exc
     raise InputFormatError(f"{what}: expected an integer, got {type(value).__name__}")
+
+
+def _too_long(what: str) -> InputFormatError:
+    # the interpreter's limit on converting decimal strings is process-wide
+    limit = sys.get_int_max_str_digits()
+    return InputFormatError(f"{what}: integers are limited to {limit} digits")
 
 
 def _int_list(value: Any, what: str) -> list[int]:
@@ -242,3 +253,6 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:
+        # the only other error: a number past the interpreter's digit limit
+        raise _too_long("invalid JSON") from exc

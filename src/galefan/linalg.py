@@ -21,6 +21,10 @@ from .errors import CapExceededError, InternalError
 Vector = tuple[int, ...]
 
 
+def dot(v: Sequence[int], w: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(v, w))
+
+
 class IntMatrix:
     """Immutable integer matrix, row-major."""
 
@@ -645,3 +649,25 @@ def _check_witness(system: LinearSystem, x: Sequence) -> None:
     for row, rhs in system.inequalities:
         if sum(c * v for c, v in zip(row, x)) < rhs:
             raise InternalError("witness violates an inequality")
+
+
+def _covector_for_pattern(
+    vectors: tuple[Vector, ...],
+    rho: int,
+    zeros: tuple[int, ...],
+    others: tuple[int, ...],
+    low: int,
+) -> Optional[Vector]:
+    """Integer covector with value -1 on vectors[rho], 0 on the zeros and
+    at least ``low`` on the others, or None if there is none.
+
+    ``low`` is 1 for a root that cuts out a face, 0 for suitability and
+    for semigroup membership read through the Gale dual.  A pattern met
+    again builds an equal system, which ``ilp_feasible``'s memo answers.
+    """
+    eqs = [(vectors[rho], -1)]
+    eqs += [(vectors[k], 0) for k in zeros]
+    ins = tuple((vectors[j], low) for j in others)
+    n = len(vectors[rho])
+    ok, e = ilp_feasible(LinearSystem(n, equalities=tuple(eqs), inequalities=ins))
+    return e if ok else None

@@ -30,7 +30,8 @@ from galefan import (
     lp_feasible,
     row_hermite_form,
 )
-from galefan.fans import _covector_for_pattern, _extends_by
+from galefan.fans import _extends_by
+from galefan.linalg import _covector_for_pattern
 from galefan.groups import _relation_columns
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from galefan import (
     AbelianGroup,
     CapExceededError,
+    DegenerateConfigurationError,
     ElementCollection,
     GSet,
     InvalidFanError,
@@ -21,15 +23,18 @@ from galefan import (
     generates_full_semigroup,
     generates_group,
     gset_from_subfan,
+    inverse_gale_transform,
     is_big_open_subfan,
     is_connected_gset,
     integer_kernel,
     IntMatrix,
+    is_strictly_convex,
     is_strongly_regular,
     semisimple_shape,
     subfan_from_gset,
 )
-from galefan.classify import _finest_product_partition, _positively_spans, _rank_one_type
+from galefan.classify import _finest_product_partition, _rank_one_type
+from galefan.groups import _relation_basis
 
 from conftest import admissible_catalog, all_full_ray_subfans, random_collection
 from oracles import positively_spans_by_signed_units, shape_members_by_subset_filter
@@ -329,16 +334,36 @@ def test_classify_quasiaffine():
 
 
 def test_positive_spanning_matches_the_signed_unit_lps():
-    # rank f plus one LP against 2f LPs, non-generating collections included
+    # strict convexity of the Gale dual's rays, one LP at free rank >= 2,
+    # against 2f LPs; every admissible pair generates and has no zero ray
     rng = random.Random(4242)
     seen = set()
-    for _ in range(1000):
+    for _ in range(3000):
         group = AbelianGroup(rng.randint(0, 3), rng.choice([(), (2,), (3,)]))
         coll = random_collection(rng, group, rng.randint(0, 7), height=rng.choice((1, 2, 3)))
-        got = _positively_spans(coll)
+        if not generates_group(coll):
+            continue
+        try:
+            config = inverse_gale_transform(coll)
+        except DegenerateConfigurationError:
+            continue
+        got = is_strictly_convex(config, config.indices)
         assert got == positively_spans_by_signed_units(coll), coll
         seen.add((group.free_rank, got))
     assert seen == {(0, True)} | {(f, a) for f in (1, 2, 3) for a in (True, False)}
+
+
+def test_quasiaffinity_of_rank_one_pairs_asks_no_lp(monkeypatch, clear_ilp_memo):
+    # free rank 1: the rays carry one relation, and its signs decide
+    def no_lp(system):
+        raise AssertionError("an LP was asked")
+
+    clear_ilp_memo()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("galefan.") and hasattr(module, "lp_feasible"):
+            monkeypatch.setattr(module, "lp_feasible", no_lp)
+    assert classify_pair(ints(1, 1, -1, -1)).quasiaffine
+    assert not classify_pair(ints(1, 1, 2, 3)).quasiaffine
 
 
 def test_classify_rank_one_types():
@@ -453,7 +478,7 @@ def test_product_partition_matches_brute_force():
     for _ in range(150):
         group = AbelianGroup(rng.randint(0, 2), rng.choice(chains))
         coll = random_collection(rng, group, rng.randint(1, 6), height=rng.choice((1, 2)))
-        got = _finest_product_partition(coll)
+        got = _finest_product_partition(coll, _relation_basis(coll))
         assert got == brute_finest_partition(coll)
         split += len(got) > 1
     assert split > 20

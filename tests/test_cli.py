@@ -644,6 +644,29 @@ def test_big_integers_round_trip_as_strings(cli):
     assert (code, json.loads(out)["witnesses"]) == (0, [[-1, str(big)], [0, -1]])
 
 
+def test_integer_strings_are_decimal_digits(cli):
+    # "²" is a digit to str.isdigit, but int cannot read it; "٣" is a
+    # decimal digit, and int reads it as 3
+    def pair(first):
+        return json.dumps({"group": {"free_rank": 1, "torsion": []}, "collection": [[first], [1], [1]]})
+
+    code, out, _ = cli(["check", "admissible"], stdin=pair("²"))
+    message = "pair.collection[0][0]: invalid integer string '²'"
+    assert (code, json.loads(out)) == (2, {"error": {"type": "input", "message": message}})
+    assert cli(["check", "admissible"], stdin=pair("٣")) == cli(["check", "admissible"], stdin=pair(3))
+
+
+@pytest.mark.parametrize("quote, where", [("", "invalid JSON"), ('"', "pair.collection[0][0]")])
+def test_integers_past_the_digit_limit_get_the_input_envelope(cli, quote, where):
+    # as a JSON number and as a string; the limit is the interpreter's
+    limit = sys.get_int_max_str_digits()
+    number = quote + "1" * (limit + 1) + quote
+    text = '{"group":{"free_rank":1,"torsion":[]},"collection":[[%s],[1],[1]]}' % number
+    code, out, _ = cli(["check", "admissible"], stdin=text)
+    message = f"{where}: integers are limited to {limit} digits"
+    assert (code, json.loads(out)) == (2, {"error": {"type": "input", "message": message}})
+
+
 def test_output_is_deterministic(cli):
     runs = []
     for _ in range(2):

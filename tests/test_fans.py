@@ -35,7 +35,7 @@ from galefan import (
 )
 import galefan.fans as fans_module
 import galefan.linalg as linalg_module
-from galefan.fans import dot
+from galefan.linalg import dot
 
 from conftest import admissible_catalog, random_config, random_generating_collection
 from oracles import root_connecting_ascending

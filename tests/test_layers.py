@@ -1,0 +1,77 @@
+"""The package's shape, read from its source with ``ast``.
+
+Each layer asks only the layers below it: ``linalg`` holds the exact
+kernels, ``fans`` and ``groups`` sit on it side by side, ``gale`` joins
+them, ``classify`` reads its answers off both sides of the duality, and
+``jsonio`` and ``cli`` speak to the outside.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import galefan
+
+PACKAGE = Path(galefan.__file__).parent
+
+LAYERS = {
+    "_record": set(),
+    "errors": set(),
+    "linalg": {"_record", "errors"},
+    "fans": {"_record", "errors", "linalg"},
+    "groups": {"_record", "errors", "linalg"},
+    "gale": {"errors", "fans", "groups", "linalg"},
+    "classify": {"_record", "errors", "fans", "gale", "groups"},
+    "jsonio": {"classify", "fans", "groups"},
+    "cli": {"classify", "errors", "fans", "gale", "groups", "jsonio"},
+}
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    }
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def _bound_names(tree: ast.Module) -> dict[str, int]:
+    # every name an import statement binds, with its line
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def test_each_module_imports_exactly_its_layers():
+    trees = _trees()
+    assert set(trees) == set(LAYERS)
+    got = {name: _package_imports(tree) for name, tree in trees.items()}
+    assert got == LAYERS
+
+
+def test_no_module_keeps_an_unused_import():
+    unused = []
+    for name, tree in _trees().items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{name}:{line} {bound}" for bound, line in _bound_names(tree).items() if bound not in used
+        ]
+    assert unused == []
