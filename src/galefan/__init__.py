@@ -21,7 +21,6 @@ from .linalg import (
     IntMatrix,
     LinearSystem,
     SnfResult,
-    determinant,
     ilp_feasible,
     integer_kernel,
     lp_feasible,

@@ -30,14 +30,15 @@ from .fans import (
     is_regular_cone,
     is_strictly_convex,
 )
-from .gale import configs_equivalent, inverse_gale_transform
+from .gale import _configuration, configs_equivalent
 from .groups import (
     ElementCollection,
     GroupElement,
+    _admissibility,
     _in_semigroup_outside,
+    _relation_basis,
     generates_full_semigroup,
     generates_group,
-    is_admissible,
     is_link,
     semigroup_membership,
 )
@@ -74,23 +75,30 @@ class GSet(Record):
         return tuple(sorted(self.members, key=cone_key))
 
 
-def _require_admissible(coll: ElementCollection) -> None:
-    adm = is_admissible(coll)
+def _admissible_configuration(coll: ElementCollection) -> VectorConfiguration:
+    # is_admissible, then inverse_gale_transform, on one Smith form; an
+    # element with a zero dual vector fails admissibility before the rays
+    # are built, so the error names that element
+    relations = _relation_basis(coll)
+    adm = _admissibility(coll, relations)
+    if not adm.generates:
+        raise NotAdmissibleError("collection does not generate its group")
     if not adm.admissible:
-        if not adm.generates:
-            raise NotAdmissibleError("collection does not generate its group")
         raise NotAdmissibleError(
             "element %d is not a non-negative combination of the others"
             % (adm.failing_index + 1)
         )
+    return _configuration(coll, relations)
 
 
 def build_maximal_fan(coll: ElementCollection) -> SimplicialFan:
     """Largest strongly regular fan attached to an admissible collection.
 
-    Rays come from the inverse Gale transform; the cones are exactly the
-    index sets whose complements generate the full semigroup.  That test
-    is antitone, so the subset scan prunes any superset of a failure.
+    Rays come from the inverse Gale transform, read off the Smith form
+    that also decides admissibility (``_admissible_configuration``).
+    The cones are exactly the index sets whose complements generate the
+    full semigroup.  That test is antitone, so the subset scan prunes
+    any superset of a failure.
     A candidate all of whose facets are cones needs one membership
     question: the complement of a facet generates the full semigroup,
     so the candidate's complement does exactly when it contains the
@@ -101,12 +109,11 @@ def build_maximal_fan(coll: ElementCollection) -> SimplicialFan:
     element's ray, 0 on the rest of the candidate and >= 0 on the other
     rays (Gale duality: the rays are the relation lattice, printed in
     the short basis of ``_relation_basis``).  Regularity of every
-    cone (which implies strict convexity) and the fan axioms are
+    maximal cone (which implies regularity and strict convexity of every
+    cone, each being a face of a maximal one) and the fan axioms are
     re-verified and discrepancies raise, since the theory promises them.
     """
-    _require_admissible(coll)
-    config = inverse_gale_transform(coll)
-    dual = config.vectors if coll.group.torsion else ()
+    config = _admissible_configuration(coll)
     r = len(coll)
     indices = set(range(r))
     cones: list[frozenset[int]] = [frozenset()]
@@ -121,11 +128,13 @@ def build_maximal_fan(coll: ElementCollection) -> SimplicialFan:
             # antitone pruning: every facet of a cone must itself be a cone
             if any(cand - {k} not in prev for k in cand):
                 continue
-            if _in_semigroup_outside(coll, max(cand), cand, dual):
+            if _in_semigroup_outside(coll, max(cand), cand, config.vectors):
                 level.append(cand)
         cones.extend(level)
+    coneset = set(cones)
     for cone in cones:
-        if not is_regular_cone(config, cone):
+        maximal = all(cone | {j} not in coneset for j in indices - cone)
+        if maximal and not is_regular_cone(config, cone):
             raise InternalError(f"cone {_numbered(cone)} is not regular")
     try:
         return SimplicialFan(config, frozenset(cones))
@@ -353,8 +362,7 @@ def classify_pair(coll: ElementCollection) -> ClassificationReport:
     sign type (with the regular-locus test for all-positive
     collections) and the repeated-value shape flag round out the report.
     """
-    _require_admissible(coll)
-    config = inverse_gale_transform(coll)
+    config = _admissible_configuration(coll)
     rank_one, locus = _rank_one_type(coll)
     value_groups = _value_index_groups(coll)
     shape = _has_shape(coll, value_groups)

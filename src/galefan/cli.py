@@ -18,8 +18,8 @@ envelope, and exits with:
     0  a computed result, or yes from a yes/no command
     1  no from a yes/no command: ``gale equivalent``, every ``check``,
        ``fan connect``, ``gset check`` and ``classify big-open``
-    2  malformed input or command line, a violated precondition, or an
-       invalid fan
+    2  malformed input or command line, a violated precondition, an
+       invalid fan, or an integer in the result past the digit limit
     3  a configured cap was exceeded
 
 A command line the parser rejects, and a second input file that is
@@ -503,7 +503,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         NotGeneratingError,
     ) as exc:
         payload, code = {"error": {"type": "precondition", "message": str(exc)}}, 2
-    except GalefanError as exc:
+    except (GalefanError, OverflowError) as exc:
         payload, code = {"error": {"type": "error", "message": str(exc)}}, 2
     sys.stdout.write(dumps(payload))
     return code

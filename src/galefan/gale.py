@@ -19,7 +19,6 @@ from .groups import (
     AbelianGroup,
     ElementCollection,
     GroupElement,
-    _dual_vectors,
     _relation_basis,
     generates_group,
     group_from_cokernel,
@@ -55,12 +54,19 @@ def inverse_gale_transform(coll: ElementCollection) -> VectorConfiguration:
     Vector i lists the i-th entries of a basis of the relations among
     the elements.  Any basis gives the result up to left unimodular
     equivalence; the short one of ``_relation_basis`` keeps searches on
-    the rays, such as ``is_suitable``, fast.
+    the rays, such as ``is_suitable``, fast.  The same Smith form decides
+    generation and yields the relations.
     """
-    if not generates_group(coll):
+    relations = _relation_basis(coll)
+    if relations is None:
         raise NotGeneratingError("collection does not generate its group")
+    return _configuration(coll, relations)
+
+
+def _configuration(coll: ElementCollection, relations: tuple[Vector, ...]) -> VectorConfiguration:
     # the relations of a generating collection have rank r - free rank
-    return VectorConfiguration(len(coll) - coll.group.free_rank, _dual_vectors(coll))
+    vectors = tuple(tuple(rel[i] for rel in relations) for i in coll.indices)
+    return VectorConfiguration(len(coll) - coll.group.free_rank, vectors)
 
 
 def linear_gale_transform(config: VectorConfiguration) -> tuple[int, tuple[Vector, ...]]:
@@ -115,15 +121,12 @@ def pairs_equivalent(left: ElementCollection, right: ElementCollection) -> bool:
     elements; surjectivity onto a group of the same normal form makes
     the induced map an isomorphism.
     """
-    if left.group != right.group:
+    if left.group != right.group or len(left) != len(right):
         return False
-    if len(left) != len(right):
+    relations = _relation_basis(left)
+    if (relations is not None) != generates_group(right):
         return False
-    lgen = generates_group(left)
-    rgen = generates_group(right)
-    if lgen != rgen:
-        return False
-    if not lgen:
+    if relations is None:
         raise NotGeneratingError(
             "equivalence of non-generating collections is not decided by this routine"
         )
@@ -138,7 +141,6 @@ def pairs_equivalent(left: ElementCollection, right: ElementCollection) -> bool:
     if prod(factorial(len(g)) for g in lgrouped) > PAIR_EQUIVALENCE_CANDIDATE_CAP:
         raise CapExceededError("too many candidate bijections between value classes")
 
-    relations = _relation_basis(left)
     lvalues = list(chain(*lgrouped))
     for perms in product(*(permutations(g) for g in rgrouped)):
         mapping = dict(zip(lvalues, chain(*perms)))

@@ -18,11 +18,11 @@ from .errors import InternalError
 from .linalg import (
     IntMatrix,
     LinearSystem,
+    SnfResult,
     Vector,
     _covector_for_pattern,
     dot,
     ilp_feasible,
-    integer_kernel,
     smith_normal_form,
     solve_diophantine,
 )
@@ -190,35 +190,48 @@ def group_from_cokernel(a: IntMatrix) -> CokernelMap:
 
 def _relation_columns(group: AbelianGroup) -> list[Vector]:
     """Columns spanning the lifted relations of the normal form."""
-    f, s = group.free_rank, len(group.torsion)
-    cols = []
-    for j, d in enumerate(group.torsion):
-        col = [0] * (f + s)
-        col[f + j] = d
-        cols.append(tuple(col))
-    return cols
+    f, n = group.free_rank, group.coords
+    return [tuple(d if k == f + j else 0 for k in range(n)) for j, d in enumerate(group.torsion)]
 
 
 def _lifted_matrix(gens: Sequence[GroupElement], group: AbelianGroup) -> IntMatrix:
+    if any(g.group != group for g in gens):
+        raise ValueError("generators belong to a different group")
     cols = [g.lift() for g in gens] + _relation_columns(group)
     return IntMatrix.from_columns(cols, rows=group.coords)
 
 
-def _relation_basis(coll: ElementCollection) -> tuple[Vector, ...]:
-    """Short basis of the lattice of relations x, sum x_i * coll[i] = 0.
+def _generating_snf(gens: Sequence[GroupElement], group: AbelianGroup) -> Optional[SnfResult]:
+    """Smith form of the lifted matrix if gens generate the group, else None.
 
-    The kernel of the lifted matrix also carries one multiplier per
-    torsion factor; a relation determines them, so cutting the kernel
-    basis to the first r coordinates keeps a basis.  That Smith-form
-    basis can carry five-digit entries where one-digit ones exist, and
-    searches on it are far slower, so while subtracting the nearest
-    integer multiple of one basis vector from another shortens it, that
-    is done (pairwise Gauss reduction): each step is unimodular, and the
-    squared lengths are positive integers that strictly fall.
+    ``Z^f ⊕ Z/d1 ⊕ ... ⊕ Z/ds`` needs f + s generators (tensor with Z/p,
+    p a prime dividing every dj), so fewer are refused without a Smith form.
     """
+    if len(gens) < group.coords:
+        return None
+    snf = smith_normal_form(_lifted_matrix(gens, group))
+    return snf if snf.invariant_factors == (1,) * group.coords else None
+
+
+def _relation_basis(coll: ElementCollection) -> Optional[tuple[Vector, ...]]:
+    """Short basis of the lattice of relations x, sum x_i * coll[i] = 0,
+    or None when the collection does not generate its group.
+
+    The generation test's Smith form also spans the kernel of the lifted
+    matrix, which carries one multiplier per torsion factor; a relation
+    determines them, so cutting that basis to the first r coordinates
+    keeps a basis.  It can carry five-digit entries where one-digit ones
+    exist, and searches on it are far slower, so while subtracting the
+    nearest integer multiple of one basis vector from another shortens
+    it, that is done (pairwise Gauss reduction): each step is
+    unimodular, and the squared lengths are positive integers that
+    strictly fall.
+    """
+    snf = _generating_snf(coll.elements, coll.group)
+    if snf is None:
+        return None
     r = len(coll)
-    kernel = integer_kernel(_lifted_matrix(coll.elements, coll.group))
-    basis = [list(vec[:r]) for vec in kernel]
+    basis = [list(snf.v.col(j)[:r]) for j in range(coll.group.coords, snf.v.cols)]
     changed = True
     while changed:
         changed = False
@@ -233,18 +246,9 @@ def _relation_basis(coll: ElementCollection) -> tuple[Vector, ...]:
     return tuple(tuple(b) for b in basis)
 
 
-def _dual_vectors(coll: ElementCollection) -> tuple[Vector, ...]:
-    """Gale dual vectors: vector i lists the i-th entries of the relation basis."""
-    basis = _relation_basis(coll)
-    return tuple(tuple(rel[i] for rel in basis) for i in coll.indices)
-
-
 def subgroup_membership(target: GroupElement, gens: Sequence[GroupElement]) -> bool:
     """Is target an integer combination of the generators?"""
     group = target.group
-    for g in gens:
-        if g.group != group:
-            raise ValueError("generators belong to a different group")
     mat = _lifted_matrix(gens, group)
     return solve_diophantine(mat, target.lift()).solvable
 
@@ -259,9 +263,6 @@ def semigroup_membership(
     questions build equal integer systems, which ``ilp_feasible`` solves once.
     """
     group = target.group
-    for g in gens:
-        if g.group != group:
-            raise ValueError("generators belong to a different group")
     r = len(gens)
     s = len(group.torsion)
     mat = _lifted_matrix(gens, group)
@@ -337,20 +338,9 @@ def _search_radius(target: GroupElement, gens: Sequence[GroupElement]) -> int:
 
 
 def generates_group(coll: ElementCollection, indices: Optional[Iterable[int]] = None) -> bool:
-    """Do the chosen elements generate the whole group?
-
-    ``Z^f ⊕ Z/d1 ⊕ ... ⊕ Z/ds`` needs f + s generators (tensor with Z/p,
-    p a prime dividing every dj), so fewer are refused without a Smith form.
-    """
+    """Do the chosen elements generate the whole group?"""
     idx = coll.indices if indices is None else sorted(set(indices))
-    gens = coll.take(idx)
-    if len(gens) < coll.group.coords:
-        return False
-    mat = _lifted_matrix(gens, coll.group)
-    snf = smith_normal_form(mat)
-    if snf.rank < coll.group.coords:
-        return False
-    return all(d == 1 for d in snf.invariant_factors)
+    return _generating_snf(coll.take(idx), coll.group) is not None
 
 
 def generates_full_semigroup(coll: ElementCollection, indices: Iterable[int]) -> bool:
@@ -391,8 +381,8 @@ def _in_semigroup_outside(
     Zero, or a value equal to an outside element, answers without a
     search.  A torsion-free group asks ``semigroup_membership`` about
     the distinct outside values.  With torsion the question goes to the
-    Gale dual ``dual`` (``_dual_vectors``, read off the short basis of
-    ``_relation_basis``; any basis gives the answer, not the speed):
+    Gale dual ``dual`` (read off the short basis of ``_relation_basis``;
+    any basis gives the answer, not the speed):
     such a combination is a relation that is -1 at k, 0 on the rest of
     the cone and >= 0 outside it, so it exists exactly when an integer
     covector u has <dual[k], u> = -1, <dual[j], u> = 0 for j in the cone
@@ -431,13 +421,24 @@ def is_admissible(coll: ElementCollection) -> AdmissibilityResult:
     reported.  An element that is zero or has an equal value elsewhere
     in the collection passes without a search.  Otherwise a torsion-free
     group asks about the distinct values of the others, and a group with
-    torsion asks the Gale dual ``_dual_vectors`` for an integer covector
-    that is -1 on the element's dual vector and >= 0 on all others (see
-    ``_in_semigroup_outside``).
+    torsion asks the Gale dual, read off ``_relation_basis``, for an
+    integer covector that is -1 on the element's dual vector and >= 0 on
+    all others (see ``_in_semigroup_outside``).  Either way the
+    collection's lifted matrix gets one Smith form.
     """
-    if not generates_group(coll):
+    if coll.group.torsion:
+        return _admissibility(coll, _relation_basis(coll))
+    return _admissibility(coll, () if generates_group(coll) else None)
+
+
+def _admissibility(
+    coll: ElementCollection, relations: Optional[tuple[Vector, ...]]
+) -> AdmissibilityResult:
+    # relations: _relation_basis(coll), None when coll does not generate;
+    # a torsion-free collection may pass (), its route reads no dual
+    if relations is None:
         return AdmissibilityResult(False, False, None)
-    dual = _dual_vectors(coll) if coll.group.torsion else ()
+    dual = tuple(tuple(rel[i] for rel in relations) for i in coll.indices)
     for i in coll.indices:
         if not _in_semigroup_outside(coll, i, (i,), dual):
             return AdmissibilityResult(False, True, i)
@@ -504,11 +505,8 @@ def direct_sum(left: AbelianGroup, right: AbelianGroup) -> DirectSum:
     >>> ds.group.torsion
     (6,)
     """
-    cols = []
     total = left.coords + right.coords
-    for col in _relation_columns(left):
-        cols.append(tuple(col) + (0,) * right.coords)
-    for col in _relation_columns(right):
-        cols.append((0,) * left.coords + tuple(col))
+    cols = [col + (0,) * right.coords for col in _relation_columns(left)]
+    cols += [(0,) * left.coords + col for col in _relation_columns(right)]
     cok = group_from_cokernel(IntMatrix.from_columns(cols, rows=total))
     return DirectSum(cok.group, cok, left, right)

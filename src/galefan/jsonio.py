@@ -28,8 +28,16 @@ class InputFormatError(ValueError):
 
 
 def encode_vector(vec) -> list:
-    """The wire form of a sequence of integers."""
-    return [c if -_I64_MAX - 1 <= c <= _I64_MAX else str(c) for c in vec]
+    """The wire form of a sequence of integers.
+
+    Outputs have the digit limit of inputs: a longer integer cannot be
+    written, and raises ``OverflowError`` naming the limit.
+    """
+    try:
+        return [c if -_I64_MAX - 1 <= c <= _I64_MAX else str(c) for c in vec]
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise OverflowError(f"output: integers are limited to {limit} digits") from exc
 
 
 def _dec_int(value: Any, what: str) -> int:

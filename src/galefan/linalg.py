@@ -309,26 +309,22 @@ def solve_diophantine(a: IntMatrix, b: Sequence[int]) -> DiophantineSolution:
     return DiophantineSolution(tuple(x), kernel)
 
 
-def _bareiss(a: IntMatrix) -> tuple[int, int, int]:
-    """Fraction-free (Bareiss) row echelon elimination.
+def matrix_rank(a: IntMatrix) -> int:
+    """Rank over the rationals, by fraction-free (Bareiss) elimination.
 
-    Columns without a pivot are skipped, so any shape works.  Returns
-    (rank, sign of the row permutation, last pivot).  Every entry still
-    in use is an integer minor of the input, so each division is exact;
-    the column below a pivot is never read again.  For a square matrix
-    of full rank the last pivot is the determinant up to the sign.
+    Columns without a pivot are skipped, so any shape works.  Every
+    entry still in use is an integer minor of the input, so each
+    division is exact; the column below a pivot is never read again.
     """
     m = [list(r) for r in a.entries]
-    rank, sign, prev = 0, 1, 1
+    rank, prev = 0, 1
     for col in range(a.cols):
         if rank == a.rows:
             break
         piv = next((i for i in range(rank, a.rows) if m[i][col] != 0), None)
         if piv is None:
             continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-            sign = -sign
+        m[rank], m[piv] = m[piv], m[rank]
         prow = m[rank]
         p = prow[col]
         for i in range(rank + 1, a.rows):
@@ -338,20 +334,7 @@ def _bareiss(a: IntMatrix) -> tuple[int, int, int]:
                 row[j] = (row[j] * p - f * prow[j]) // prev
         prev = p
         rank += 1
-    return rank, sign, prev
-
-
-def matrix_rank(a: IntMatrix) -> int:
-    """Rank over the rationals."""
-    return _bareiss(a)[0]
-
-
-def determinant(a: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    if a.rows != a.cols:
-        raise ValueError("determinant of a non-square matrix")
-    rank, sign, last = _bareiss(a)
-    return sign * last if rank == a.rows else 0
+    return rank
 
 
 class LinearSystem(Record):

@@ -1,20 +1,21 @@
 """Reference implementations the tests compare the package against.
 
 None of these is used by the package itself.  They favour the obvious
-computation over speed: minors by brute force, rank over Fractions,
-matrix products by the definition, cone separation decided on the
-Gale side instead of the primal side, positive spanning by one LP per
-signed unit vector, shape members by filtering every index subset,
-pair equivalence by trying every index permutation, connecting roots
-by trying zero sets from the smallest up, and condition (C3) of a
-G-set by listing every link of the collection before looking at the
-family.
+computation over speed: determinants by the Leibniz formula, minors by
+brute force, rank over Fractions, matrix products by the definition,
+cone separation decided on the Gale side instead of the primal side,
+positive spanning by one LP per signed unit vector, shape members by
+filtering every index subset, pair equivalence by trying every index
+permutation, connecting roots by trying zero sets from the smallest
+up, and condition (C3) of a G-set by listing every link of the
+collection before looking at the family.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import prod
 from typing import Sequence
 
 from galefan import (
@@ -23,7 +24,6 @@ from galefan import (
     IntMatrix,
     LinearSystem,
     cone_key,
-    determinant,
     integer_kernel,
     is_link,
     linear_gale_transform,
@@ -32,7 +32,7 @@ from galefan import (
 )
 from galefan.fans import _extends_by
 from galefan.linalg import _covector_for_pattern
-from galefan.groups import _relation_columns
+from galefan.groups import _lifted_matrix, _relation_basis, _relation_columns
 
 
 def identity(n: int) -> IntMatrix:
@@ -47,6 +47,19 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         tuple(tuple(sum(x * y for x, y in zip(r, c)) for c in bt) for r in a.entries),
         cols=b.cols,
     )
+
+
+def _perm_sign(p) -> int:
+    inversions = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
+    return -1 if inversions % 2 else 1
+
+
+def determinant(a: IntMatrix) -> int:
+    """Determinant of a square matrix by the Leibniz formula."""
+    n = a.rows
+    if a.cols != n:
+        raise ValueError("determinant of a non-square matrix")
+    return sum(_perm_sign(p) * prod(a[i, p[i]] for i in range(n)) for p in permutations(range(n)))
 
 
 def fraction_rank(a: IntMatrix) -> int:
@@ -102,6 +115,20 @@ def coefficient_bound(target, gens) -> int:
         cols.append(tuple(-c for c in col))
     mat = IntMatrix.from_columns(cols, rows=group.coords)
     return max_minor_bound(mat, target.lift())
+
+
+def relations_of(coll) -> tuple:
+    """A basis of the relations among any collection's elements.
+
+    ``_relation_basis`` refuses a collection that does not generate its
+    group; its relations are still spanned by the Smith-form kernel of
+    the lifted matrix, cut to the r coordinates of the elements.
+    """
+    relations = _relation_basis(coll)
+    if relations is None:
+        r = len(coll)
+        relations = tuple(v[:r] for v in integer_kernel(_lifted_matrix(coll.elements, coll.group)))
+    return relations
 
 
 def cones_meet_by_gale_duality(config, left, right) -> bool:

@@ -24,6 +24,7 @@ from galefan import (
     generates_group,
     gset_from_subfan,
     inverse_gale_transform,
+    is_admissible,
     is_big_open_subfan,
     is_connected_gset,
     integer_kernel,
@@ -33,11 +34,12 @@ from galefan import (
     semisimple_shape,
     subfan_from_gset,
 )
+import galefan
 from galefan.classify import _finest_product_partition, _rank_one_type
-from galefan.groups import _relation_basis
+from galefan.groups import _lifted_matrix
 
 from conftest import admissible_catalog, all_full_ray_subfans, random_collection
-from oracles import positively_spans_by_signed_units, shape_members_by_subset_filter
+from oracles import positively_spans_by_signed_units, relations_of, shape_members_by_subset_filter
 
 Z = AbelianGroup(1, ())
 TRIV = AbelianGroup(0, ())
@@ -86,6 +88,62 @@ def test_maximal_fan_rejects_bad_input():
         build_maximal_fan(ints(2, 4))
     with pytest.raises(NotAdmissibleError, match="element 1 "):
         build_maximal_fan(ints(1, 2))
+
+
+def _pair_with_and_without_torsion() -> tuple[ElementCollection, ElementCollection]:
+    # P1 x P1, and the same pair with a Z/2 part
+    zz, zt = AbelianGroup(2, ()), AbelianGroup(1, (2,))
+    free = ElementCollection(zz, tuple(zz.element(v) for v in [(1, 0), (1, 0), (0, 1), (0, 1)]))
+    tors = ElementCollection(
+        zt, tuple(zt.element(f, t) for f, t in [((1,), (0,)), ((1,), (0,)), ((0,), (1,)), ((0,), (1,))])
+    )
+    return free, tors
+
+
+def test_each_entry_point_builds_one_smith_form_of_the_lifted_matrix(monkeypatch):
+    # generation and the relations come off one Smith form of the pair's
+    # lifted matrix; is_admissible on a torsion-free pair needs no relations
+    lifted, bases = [], []
+    snf, basis = galefan.linalg.smith_normal_form, galefan.groups._relation_basis
+
+    def recording_snf(a):
+        lifted.append(a)
+        return snf(a)
+
+    def recording_basis(coll):
+        bases.append(coll)
+        return basis(coll)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("galefan.") and hasattr(module, "smith_normal_form"):
+            monkeypatch.setattr(module, "smith_normal_form", recording_snf)
+    monkeypatch.setattr(galefan.groups, "_relation_basis", recording_basis)
+    for coll in _pair_with_and_without_torsion():
+        matrix = _lifted_matrix(coll.elements, coll.group)
+        for entry in (build_maximal_fan, classify_pair, inverse_gale_transform, is_admissible):
+            lifted.clear()
+            bases.clear()
+            entry(coll)
+            assert sum(a == matrix for a in lifted) == 1, (entry.__name__, coll.group)
+        assert len(bases) == (1 if coll.group.torsion else 0)
+
+
+def test_maximal_fan_checks_regularity_on_maximal_cones(monkeypatch):
+    # the faces of a regular cone are regular, so the maximal cones suffice
+    checked = []
+    regular = galefan.classify.is_regular_cone
+
+    def recording(config, cone):
+        checked.append(cone)
+        return regular(config, cone)
+
+    monkeypatch.setattr(galefan.classify, "is_regular_cone", recording)
+    for coll in (ints(1, 1, 1), *_pair_with_and_without_torsion()):
+        checked.clear()
+        fan = build_maximal_fan(coll)
+        maximal = {c for c in fan.cones if not any(c < d for d in fan.cones)}
+        assert sorted(checked, key=sorted) == sorted(maximal, key=sorted)
+        assert len(maximal) == (3 if len(coll) == 3 else 4)
 
 
 def test_maximal_fan_membership_is_complement_generation():
@@ -478,7 +536,7 @@ def test_product_partition_matches_brute_force():
     for _ in range(150):
         group = AbelianGroup(rng.randint(0, 2), rng.choice(chains))
         coll = random_collection(rng, group, rng.randint(1, 6), height=rng.choice((1, 2)))
-        got = _finest_product_partition(coll, _relation_basis(coll))
+        got = _finest_product_partition(coll, relations_of(coll))
         assert got == brute_finest_partition(coll)
         split += len(got) > 1
     assert split > 20

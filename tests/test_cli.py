@@ -667,6 +667,34 @@ def test_integers_past_the_digit_limit_get_the_input_envelope(cli, quote, where)
     assert (code, json.loads(out)) == (2, {"error": {"type": "input", "message": message}})
 
 
+def test_integers_past_the_digit_limit_in_a_result_get_the_error_envelope(cli):
+    # every input integer is within the limit, but the Gale dual is Z and
+    # its third element, 3 * 10^5999 + 10^3000, has 6,001 digits
+    config = {"rank": 2, "vectors": [[10**3000, 0], [0, 3 * 10**2999 + 1], [1, 1]]}
+    code, out, _ = cli(["gale", "transform"], stdin=json.dumps(config))
+    message = f"output: integers are limited to {sys.get_int_max_str_digits()} digits"
+    assert (code, json.loads(out)) == (2, {"error": {"type": "error", "message": message}})
+
+
+def test_an_element_with_a_zero_dual_vector_fails_admissibility_first(cli):
+    # element 3 lies in no relation, so its ray would be zero: generation
+    # holds, admissibility fails at element 3, and only the bare inverse
+    # transform reaches the zero vector
+    pair = json.dumps({"group": {"free_rank": 2, "torsion": []}, "collection": [[1, 0], [1, 0], [0, 1]]})
+
+    def precondition(message):
+        return 2, {"error": {"type": "precondition", "message": message}}
+
+    failing = precondition("element 3 is not a non-negative combination of the others")
+    for argv in (["fan", "build-max"], ["classify", "pair"]):
+        code, out, _ = cli(argv, stdin=pair)
+        assert (code, json.loads(out)) == failing, argv
+    code, out, _ = cli(["gale", "inverse"], stdin=pair)
+    assert (code, json.loads(out)) == precondition("configuration contains a zero vector")
+    code, out, _ = cli(["check", "admissible"], stdin=pair)
+    assert (code, json.loads(out)) == (1, {"admissible": False, "failing_index": 3, "generates": True})
+
+
 def test_output_is_deterministic(cli):
     runs = []
     for _ in range(2):

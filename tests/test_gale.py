@@ -18,10 +18,10 @@ from galefan import (
     linear_gale_transform,
     pairs_equivalent,
 )
-from galefan.linalg import IntMatrix, determinant, matrix_rank
+from galefan.linalg import IntMatrix, matrix_rank
 
 from conftest import random_config, random_generating_collection, random_group
-from oracles import cones_meet_by_gale_duality, pairs_equivalent_by_permutations
+from oracles import cones_meet_by_gale_duality, determinant, pairs_equivalent_by_permutations
 
 
 def ints(*vals):

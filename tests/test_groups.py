@@ -24,7 +24,7 @@ from galefan import (
     subgroup_membership,
 )
 
-from galefan.groups import _dual_vectors, _in_semigroup_outside, _lifted_matrix, _relation_basis
+from galefan.groups import _in_semigroup_outside, _lifted_matrix, _relation_basis
 
 from conftest import (
     admissible_catalog,
@@ -34,7 +34,7 @@ from conftest import (
     random_element,
     random_group,
 )
-from oracles import coefficient_bound
+from oracles import coefficient_bound, relations_of
 
 
 def test_group_validation():
@@ -284,7 +284,8 @@ def test_distinct_value_rule_matches_raw_membership(covector_answers):
     seen = set()
     for coll in colls:
         covector_answers.clear()
-        dual = _dual_vectors(coll)
+        relations = relations_of(coll)
+        dual = tuple(tuple(rel[i] for rel in relations) for i in coll.indices)
         for k in range(len(coll) + 1):
             for chosen in combinations(coll.indices, k):
                 got = generates_full_semigroup(coll, chosen)
@@ -318,18 +319,25 @@ def test_distinct_value_rule_matches_raw_membership(covector_answers):
 
 def test_relation_basis_is_a_shorter_basis_of_the_same_relations():
     # equal Hermite forms of the two bases (as rows) mean equal lattices;
-    # the raw basis is the Smith-form kernel cut to the r coordinates
+    # the raw basis is the Smith-form kernel cut to the r coordinates.
+    # A collection that does not generate gets None; 81 of the 130 draws
+    # generate
     rng = random.Random(9)
-    for _ in range(80):
+    compared = 0
+    for _ in range(130):
         coll = random_collection(rng, random_group(rng), rng.randint(1, 6))
         r = len(coll)
-        raw = tuple(v[:r] for v in integer_kernel(_lifted_matrix(coll.elements, coll.group)))
         basis = _relation_basis(coll)
+        assert (basis is not None) == generates_group(coll), coll
+        if basis is None:
+            continue
+        compared += 1
+        raw = tuple(v[:r] for v in integer_kernel(_lifted_matrix(coll.elements, coll.group)))
         assert len(basis) == len(raw) and all(len(v) == r for v in basis)
         hermite = [row_hermite_form(IntMatrix(b, cols=r))[1] for b in (raw, basis)]
         assert hermite[0] == hermite[1], coll
         assert sum(c * c for v in basis for c in v) <= sum(c * c for v in raw for c in v)
-        assert _dual_vectors(coll) == tuple(tuple(v[i] for v in basis) for i in coll.indices)
+    assert compared >= 80
 
 
 def test_admissibility_is_deletion_stability():

@@ -75,3 +75,14 @@ def test_no_module_keeps_an_unused_import():
             f"{name}:{line} {bound}" for bound, line in _bound_names(tree).items() if bound not in used
         ]
     assert unused == []
+
+
+def test_no_module_asserts():
+    # python -O strips assert statements, and every check must still run
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
