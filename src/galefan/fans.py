@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from math import gcd
+from operator import index
 from typing import AbstractSet, Iterable, Optional, Sequence
 
 from ._record import Record
@@ -64,7 +65,7 @@ class VectorConfiguration(Record):
     vectors: tuple[Vector, ...]
 
     def __post_init__(self):
-        vecs = tuple(tuple(int(c) for c in v) for v in self.vectors)
+        vecs = tuple(tuple(map(index, v)) for v in self.vectors)
         object.__setattr__(self, "vectors", vecs)
         for v in vecs:
             if len(v) != self.rank:

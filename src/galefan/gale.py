@@ -23,7 +23,7 @@ from .groups import (
     generates_group,
     group_from_cokernel,
 )
-from .linalg import Vector, integer_kernel, row_hermite_form
+from .linalg import IntMatrix, Vector, integer_kernel, row_hermite_form
 from .fans import VectorConfiguration
 
 PAIR_EQUIVALENCE_CANDIDATE_CAP = 40320
@@ -40,12 +40,10 @@ def lattice_gale_transform(config: VectorConfiguration) -> tuple[AbelianGroup, E
     >>> (g.free_rank, g.torsion, [e.torsion for e in coll])
     (0, (2,), [(1,), (1,)])
     """
-    r = len(config)
-    cok = group_from_cokernel(config.column_matrix().transpose())
-    elements = tuple(
-        cok.project(tuple(1 if j == i else 0 for j in range(r))) for i in range(r)
-    )
-    return cok.group, ElementCollection(cok.group, elements)
+    cok = group_from_cokernel(IntMatrix(config.vectors, cols=config.rank))
+    group, f = cok.group, cok.group.free_rank
+    cols = (cok.projection.col(i) for i in config.indices)
+    return group, ElementCollection(group, tuple(group.element(c[:f], c[f:]) for c in cols))
 
 
 def inverse_gale_transform(coll: ElementCollection) -> VectorConfiguration:

@@ -11,6 +11,7 @@ integer feasibility problem with non-negative coefficients.
 from __future__ import annotations
 
 from math import isqrt
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 from ._record import Record
@@ -18,12 +19,11 @@ from .errors import InternalError
 from .linalg import (
     IntMatrix,
     LinearSystem,
-    SnfResult,
     Vector,
     _covector_for_pattern,
+    _smith,
     dot,
     ilp_feasible,
-    smith_normal_form,
     solve_diophantine,
 )
 
@@ -35,7 +35,7 @@ class AbelianGroup(Record):
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        object.__setattr__(self, "torsion", tuple(map(index, self.torsion)))
         if self.free_rank < 0:
             raise ValueError("negative free rank")
         for d in self.torsion:
@@ -54,8 +54,8 @@ class AbelianGroup(Record):
         return self.free_rank + len(self.torsion)
 
     def element(self, free: Iterable[int] = (), torsion: Iterable[int] = ()) -> "GroupElement":
-        free = tuple(int(c) for c in free)
-        tors = tuple(int(c) for c in torsion)
+        free = tuple(map(index, free))
+        tors = tuple(map(index, torsion))
         if len(free) != self.free_rank or len(tors) != len(self.torsion):
             raise ValueError("coordinate count does not match the group")
         tors = tuple(c % d for c, d in zip(tors, self.torsion))
@@ -178,13 +178,10 @@ def group_from_cokernel(a: IntMatrix) -> CokernelMap:
     >>> (cok.group.free_rank, cok.group.torsion)
     (0, (2,))
     """
-    snf = smith_normal_form(a)
-    m = a.rows
-    diag = list(snf.diagonal) + [0] * (m - min(m, a.cols))
-    free_rows = [i for i in range(m) if diag[i] == 0]
-    torsion_rows = [i for i in range(m) if diag[i] >= 2]
-    group = AbelianGroup(len(free_rows), tuple(diag[i] for i in torsion_rows))
-    proj = IntMatrix(tuple(snf.u.row(i) for i in free_rows + torsion_rows), cols=m)
+    u, diag, _ = _smith(a.entries, a.cols)
+    torsion_rows = [i for i, d in enumerate(diag) if d >= 2]
+    group = AbelianGroup(a.rows - len(diag), tuple(diag[i] for i in torsion_rows))
+    proj = IntMatrix([u[i] for i in [*range(len(diag), a.rows), *torsion_rows]], cols=a.rows)
     return CokernelMap(group, proj)
 
 
@@ -194,23 +191,28 @@ def _relation_columns(group: AbelianGroup) -> list[Vector]:
     return [tuple(d if k == f + j else 0 for k in range(n)) for j, d in enumerate(group.torsion)]
 
 
-def _lifted_matrix(gens: Sequence[GroupElement], group: AbelianGroup) -> IntMatrix:
+def _lifted_rows(gens: Sequence[GroupElement], group: AbelianGroup) -> list[Vector]:
     if any(g.group != group for g in gens):
         raise ValueError("generators belong to a different group")
     cols = [g.lift() for g in gens] + _relation_columns(group)
-    return IntMatrix.from_columns(cols, rows=group.coords)
+    return [tuple(c[i] for c in cols) for i in range(group.coords)]
 
 
-def _generating_snf(gens: Sequence[GroupElement], group: AbelianGroup) -> Optional[SnfResult]:
-    """Smith form of the lifted matrix if gens generate the group, else None.
+def _lifted_matrix(gens: Sequence[GroupElement], group: AbelianGroup) -> IntMatrix:
+    return IntMatrix(_lifted_rows(gens, group), cols=len(gens) + len(group.torsion))
+
+
+def _generating_kernel(gens: Sequence[GroupElement], group: AbelianGroup) -> Optional[list]:
+    """Kernel basis of the lifted matrix, off its Smith form, if gens
+    generate the group, else None.
 
     ``Z^f ⊕ Z/d1 ⊕ ... ⊕ Z/ds`` needs f + s generators (tensor with Z/p,
     p a prime dividing every dj), so fewer are refused without a Smith form.
     """
     if len(gens) < group.coords:
         return None
-    snf = smith_normal_form(_lifted_matrix(gens, group))
-    return snf if snf.invariant_factors == (1,) * group.coords else None
+    _, diag, v = _smith(_lifted_rows(gens, group), len(gens) + len(group.torsion))
+    return v[group.coords:] if diag == [1] * group.coords else None
 
 
 def _relation_basis(coll: ElementCollection) -> Optional[tuple[Vector, ...]]:
@@ -227,11 +229,11 @@ def _relation_basis(coll: ElementCollection) -> Optional[tuple[Vector, ...]]:
     unimodular, and the squared lengths are positive integers that
     strictly fall.
     """
-    snf = _generating_snf(coll.elements, coll.group)
-    if snf is None:
+    kernel = _generating_kernel(coll.elements, coll.group)
+    if kernel is None:
         return None
     r = len(coll)
-    basis = [list(snf.v.col(j)[:r]) for j in range(coll.group.coords, snf.v.cols)]
+    basis = [col[:r] for col in kernel]
     changed = True
     while changed:
         changed = False
@@ -265,8 +267,7 @@ def semigroup_membership(
     group = target.group
     r = len(gens)
     s = len(group.torsion)
-    mat = _lifted_matrix(gens, group)
-    eqs = tuple((mat.row(i), target.lift()[i]) for i in range(group.coords))
+    eqs = tuple(zip(_lifted_rows(gens, group), target.lift()))
     rows = []
     if s:
         # torsion multipliers are unbounded in sign, which can send the
@@ -283,9 +284,7 @@ def semigroup_membership(
     else:
         for i in range(r):
             rows.append((tuple(1 if j == i else 0 for j in range(r)), 0))
-    ok, witness = ilp_feasible(
-        LinearSystem(r + s, equalities=eqs, inequalities=tuple(rows))
-    )
+    ok, witness = ilp_feasible(LinearSystem(r + s, eqs, tuple(rows)))
     if not ok:
         return False, None
     coeffs = witness[:r]
@@ -340,7 +339,7 @@ def _search_radius(target: GroupElement, gens: Sequence[GroupElement]) -> int:
 def generates_group(coll: ElementCollection, indices: Optional[Iterable[int]] = None) -> bool:
     """Do the chosen elements generate the whole group?"""
     idx = coll.indices if indices is None else sorted(set(indices))
-    return _generating_snf(coll.take(idx), coll.group) is not None
+    return _generating_kernel(coll.take(idx), coll.group) is not None
 
 
 def generates_full_semigroup(coll: ElementCollection, indices: Iterable[int]) -> bool:
@@ -379,29 +378,35 @@ def _in_semigroup_outside(
     outside the cone?
 
     Zero, or a value equal to an outside element, answers without a
-    search.  A torsion-free group asks ``semigroup_membership`` about
-    the distinct outside values.  With torsion the question goes to the
-    Gale dual ``dual`` (read off the short basis of ``_relation_basis``;
-    any basis gives the answer, not the speed):
-    such a combination is a relation that is -1 at k, 0 on the rest of
-    the cone and >= 0 outside it, so it exists exactly when an integer
-    covector u has <dual[k], u> = -1, <dual[j], u> = 0 for j in the cone
-    other than k, and <dual[j], u> >= 0 elsewhere.  That search needs no
-    torsion multipliers and no search box; the relation it yields is
-    re-checked as a combination in the group.
+    search.  Otherwise the question goes to the Gale dual ``dual`` (read
+    off the short basis of ``_relation_basis``; any basis gives the
+    answer, not the speed): such a combination is a relation that is -1
+    at k, 0 on the rest of the cone and >= 0 outside it, so it exists
+    exactly when an integer covector u has <dual[k], u> = -1,
+    <dual[j], u> = 0 for j in the cone other than k, and <dual[j], u> >= 0
+    elsewhere.  That search needs no torsion multipliers and no search
+    box; the relation it yields is re-checked as a combination in the
+    group.  A torsion-free group asks the dual only when the outside
+    values are pairwise distinct and the relations have rank at most
+    |cone| + 1: the cone minus k is independent in every caller, so both
+    searches leave the same single unknown and neither asks an LP.
+    Otherwise it asks ``semigroup_membership`` about the distinct outside
+    values, whose lifted system is smaller when values repeat.
     """
     inside = set(cone)
     outside = tuple(i for i in coll.indices if i not in inside)
-    target = coll[k]
-    if not coll.group.torsion:
-        return _in_semigroup(target, _distinct_values(coll.take(outside)))
-    if target.is_zero or target in coll.take(outside):
+    target, values = coll[k], coll.take(outside)
+    if target.is_zero or target in values:
         return True
+    if not coll.group.torsion and (
+        len(dual[k]) > len(inside) + 1 or len(set(values)) < len(values)
+    ):
+        return semigroup_membership(target, _distinct_values(values))[0]
     zeros = tuple(sorted(inside - {k}))
     u = _covector_for_pattern(dual, k, zeros, outside, 0)
     if u is None:
         return False
-    if coll.group.combination((dot(dual[j], u) for j in outside), coll.take(outside)) != target:
+    if coll.group.combination((dot(dual[j], u) for j in outside), values) != target:
         raise InternalError("dual membership certificate does not sum to the target")
     return True
 
@@ -419,23 +424,21 @@ def is_admissible(coll: ElementCollection) -> AdmissibilityResult:
     Equivalently: every element is a non-negative combination of the
     others.  Indices are tested in order and the first failure is
     reported.  An element that is zero or has an equal value elsewhere
-    in the collection passes without a search.  Otherwise a torsion-free
-    group asks about the distinct values of the others, and a group with
-    torsion asks the Gale dual, read off ``_relation_basis``, for an
-    integer covector that is -1 on the element's dual vector and >= 0 on
-    all others (see ``_in_semigroup_outside``).  Either way the
-    collection's lifted matrix gets one Smith form.
+    in the collection passes without a search.  Every group reads its
+    relations off ``_relation_basis``, the one Smith form of the lifted
+    matrix.  Each element then asks the Gale dual for an integer
+    covector that is -1 on its dual vector and >= 0 on all others; a
+    torsion-free group with repeated values among the others, or with
+    relations of rank above 2, asks about their distinct values instead
+    (see ``_in_semigroup_outside``).
     """
-    if coll.group.torsion:
-        return _admissibility(coll, _relation_basis(coll))
-    return _admissibility(coll, () if generates_group(coll) else None)
+    return _admissibility(coll, _relation_basis(coll))
 
 
 def _admissibility(
     coll: ElementCollection, relations: Optional[tuple[Vector, ...]]
 ) -> AdmissibilityResult:
-    # relations: _relation_basis(coll), None when coll does not generate;
-    # a torsion-free collection may pass (), its route reads no dual
+    # relations: _relation_basis(coll), None when coll does not generate
     if relations is None:
         return AdmissibilityResult(False, False, None)
     dual = tuple(tuple(rel[i] for rel in relations) for i in coll.indices)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 from ._record import Record
@@ -31,7 +32,7 @@ class IntMatrix:
     __slots__ = ("entries", "rows", "cols")
 
     def __init__(self, entries: Iterable[Iterable[int]], cols: Optional[int] = None):
-        rows = tuple(tuple(int(e) for e in row) for row in entries)
+        rows = tuple(tuple(map(index, row)) for row in entries)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -39,7 +40,7 @@ class IntMatrix:
             if cols is not None and cols != width:
                 raise ValueError("cols does not match row width")
         else:
-            width = 0 if cols is None else int(cols)
+            width = 0 if cols is None else index(cols)
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
@@ -113,65 +114,39 @@ class SnfResult(Record):
         return tuple(e for e in self.diagonal if e != 0)
 
 
-def smith_normal_form(a: IntMatrix) -> SnfResult:
-    """Compute the Smith normal form of an integer matrix.
+def _smith(rows: Sequence[Sequence[int]], n: int) -> tuple[list, list[int], list]:
+    """Smith decomposition U*A*V = D of the matrix with these rows and n
+    columns, on plain lists: the rows of U, the nonzero diagonal of D
+    (its first rank entries; the rest of D is zero) and the columns of V.
 
     Pivots are chosen as the lexicographically smallest eligible
-    position, so the output (including the transforms) is the same on
-    every run and platform.
+    position, so the output is the same on every run and platform.
     """
-    m, n = a.rows, a.cols
-    d = [list(r) for r in a.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, q):
-        # row dst -= q * row src
-        d[dst] = [x - q * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def addmul_col(dst, src, q):
-        for row in d:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
-
+    m = len(rows)
+    d = [list(r) for r in rows]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]  # columns
     k = 0
     while k < min(m, n):
-        pivot = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if d[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+        pivot = next(((i, j) for i in range(k, m) for j in range(k, n) if d[i][j]), None)
         if pivot is None:
             break
-        if pivot[0] != k:
-            swap_rows(k, pivot[0])
-        if pivot[1] != k:
-            swap_cols(k, pivot[1])
-
+        i, j = pivot
+        d[k], d[i], u[k], u[i] = d[i], d[k], u[i], u[k]
+        if j != k:
+            for row in d:
+                row[k], row[j] = row[j], row[k]
+            v[k], v[j] = v[j], v[k]
         while True:
             clean = True
             for i in range(m):
                 if i == k or d[i][k] == 0:
                     continue
                 q = d[i][k] // d[k][k]
-                addmul_row(i, k, q)
+                d[i] = [x - q * y for x, y in zip(d[i], d[k])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[k])]
                 if d[i][k] != 0:
-                    swap_rows(i, k)
+                    d[i], d[k], u[i], u[k] = d[k], d[i], u[k], u[i]
                     clean = False
             if not clean:
                 continue
@@ -179,33 +154,42 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
                 if j == k or d[k][j] == 0:
                     continue
                 q = d[k][j] // d[k][k]
-                addmul_col(j, k, q)
+                for row in d:
+                    row[j] -= q * row[k]
+                v[j] = [x - q * y for x, y in zip(v[j], v[k])]
                 if d[k][j] != 0:
-                    swap_cols(j, k)
+                    for row in d:
+                        row[k], row[j] = row[j], row[k]
+                    v[k], v[j] = v[j], v[k]
                     clean = False
             if not clean:
                 continue
             # pivot must divide the remaining block for the chain property
-
-            bad = None
             p = d[k][k]
-            for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if d[i][j] % p != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next((i for i in range(k + 1, m) if any(x % p for x in d[i][k + 1:])), None)
             if bad is None:
                 break
-            addmul_row(k, bad, -1)
-
+            d[k] = [x + y for x, y in zip(d[k], d[bad])]
+            u[k] = [x + y for x, y in zip(u[k], u[bad])]
         if d[k][k] < 0:
             d[k] = [-x for x in d[k]]
             u[k] = [-x for x in u[k]]
         k += 1
+    return u, [d[i][i] for i in range(k)], v
 
-    return SnfResult(IntMatrix(u, cols=m), IntMatrix(d, cols=n), IntMatrix(v, cols=n))
+
+def smith_normal_form(a: IntMatrix) -> SnfResult:
+    """Compute the Smith normal form of an integer matrix.
+
+    The elimination is ``_smith``'s, so the output (including the
+    transforms) is the same on every run and platform.
+    """
+    u, diag, v = _smith(a.entries, a.cols)
+    d = [[0] * a.cols for _ in range(a.rows)]
+    for i, x in enumerate(diag):
+        d[i][i] = x
+    v = IntMatrix.from_columns(v, rows=a.cols)
+    return SnfResult(IntMatrix(u, cols=a.rows), IntMatrix(d, cols=a.cols), v)
 
 
 def row_hermite_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -261,9 +245,8 @@ def integer_kernel(a: IntMatrix) -> tuple[Vector, ...]:
     integer kernel vector is an integer combination of the returned
     vectors.
     """
-    snf = smith_normal_form(a)
-    rank = snf.rank
-    return tuple(snf.v.col(j) for j in range(rank, a.cols))
+    _, diag, v = _smith(a.entries, a.cols)
+    return tuple(map(tuple, v[len(diag):]))
 
 
 class DiophantineSolution(Record):
@@ -285,28 +268,23 @@ def solve_diophantine(a: IntMatrix, b: Sequence[int]) -> DiophantineSolution:
     """Solve A x = b over the integers via the Smith form."""
     if len(b) != a.rows:
         raise ValueError("rhs length mismatch")
-    snf = smith_normal_form(a)
-    ub = snf.u.apply(tuple(b))
-    y = [0] * a.cols
-    ok = True
-    for i in range(a.rows):
-        di = snf.d[i, i] if i < min(a.rows, a.cols) else 0
-        if di == 0:
-            if ub[i] != 0:
-                ok = False
-                break
-        else:
-            if ub[i] % di != 0:
-                ok = False
-                break
-            y[i] = ub[i] // di
-    kernel = tuple(snf.v.col(j) for j in range(snf.rank, a.cols))  # as integer_kernel
-    if not ok:
-        return DiophantineSolution(None, kernel)
-    x = snf.v.apply(y)
-    if a.apply(x) != tuple(b):
+    x, kernel = _solve(a.entries, tuple(map(index, b)), a.cols)
+    return DiophantineSolution(None if x is None else tuple(x), tuple(map(tuple, kernel)))
+
+
+def _solve(rows: Sequence[Vector], b: Sequence[int], n: int) -> tuple[Optional[list[int]], list]:
+    # A x = b for A with these rows and n columns: a particular solution
+    # (None if there is none) and the kernel basis of integer_kernel
+    u, diag, v = _smith(rows, n)
+    ub = [dot(row, b) for row in u]
+    kernel = v[len(diag):]
+    if any(ub[len(diag):]) or any(c % p for c, p in zip(ub, diag)):
+        return None, kernel
+    y = [c // p for c, p in zip(ub, diag)]
+    x = [sum(t * col[i] for t, col in zip(y, v)) for i in range(n)]
+    if any(dot(row, x) != c for row, c in zip(rows, b)):
         raise InternalError("Diophantine solution fails A x = b")
-    return DiophantineSolution(tuple(x), kernel)
+    return x, kernel
 
 
 def matrix_rank(a: IntMatrix) -> int:
@@ -350,8 +328,8 @@ class LinearSystem(Record):
     inequalities: tuple[tuple[Vector, int], ...] = ()
 
     def __post_init__(self):
-        eqs = tuple((tuple(int(c) for c in row), int(rhs)) for row, rhs in self.equalities)
-        ins = tuple((tuple(int(c) for c in row), int(rhs)) for row, rhs in self.inequalities)
+        eqs = tuple((tuple(map(index, row)), index(rhs)) for row, rhs in self.equalities)
+        ins = tuple((tuple(map(index, row)), index(rhs)) for row, rhs in self.inequalities)
         for row, _ in eqs + ins:
             if len(row) != self.n_vars:
                 raise ValueError("row length mismatch")
@@ -460,8 +438,8 @@ _ILP_NODE_CAP = 100_000
 
 
 # the package's one memo.  perfbench's inputs (seeds 1-4) ask at most 16
-# distinct systems per fan command and 33 per fan set-up; decide keeps
-# asking new ones (1,200 items: 2,400 misses, 68 hits), and the bound
+# distinct systems per fan command and 39 per fan set-up; decide keeps
+# asking new ones (1,200 items: 2,386 misses, 82 hits), and the bound
 # caps its memo at about 1.3 MB
 @lru_cache(maxsize=1024)
 def ilp_feasible(system: LinearSystem) -> tuple[bool, Optional[Vector]]:
@@ -476,8 +454,8 @@ def ilp_feasible(system: LinearSystem) -> tuple[bool, Optional[Vector]]:
     equalities, then the rest is searched by branch and bound over
     exact LP relaxations inside an a-priori solution box.  Raises
     CapExceededError if the node budget runs out; some systems with 3
-    or 4 unknowns from admissibility questions with torsion dive towards
-    the box wall, where the cap is about 18 minutes of LPs away.
+    to 5 unknowns from admissibility questions, with torsion or on Z,
+    dive towards the box wall, where the cap can be minutes of LPs away.
     Answers are memoized by the system, so an equal system is solved
     once: strong regularity meets one root pattern from many cones, and
     fan set-up asks a repeated summand's membership questions again.
@@ -493,22 +471,20 @@ def ilp_feasible(system: LinearSystem) -> tuple[bool, Optional[Vector]]:
 
     while True:
         if eqs:
-            mat = IntMatrix([row for row, _ in eqs], cols=len(basis))
-            sol = solve_diophantine(mat, [rhs for _, rhs in eqs])
-            if sol.particular is None:
+            q, kernel = _solve([row for row, _ in eqs], [rhs for _, rhs in eqs], len(basis))
+            if q is None:
                 return False, None
-            q = sol.particular
             new_offset = tuple(
                 o + sum(bc[i] * qq for bc, qq in zip(basis, q)) for i, o in enumerate(offset)
             )
             new_basis = [
                 tuple(sum(bc[i] * kv for bc, kv in zip(basis, kvec)) for i in range(n))
-                for kvec in sol.kernel_basis
+                for kvec in kernel
             ]
             new_ineqs = []
             for row, rhs in ineqs:
                 shift = sum(c * qq for c, qq in zip(row, q))
-                new_row = tuple(sum(c * kv for c, kv in zip(row, kvec)) for kvec in sol.kernel_basis)
+                new_row = tuple(sum(c * kv for c, kv in zip(row, kvec)) for kvec in kernel)
                 new_ineqs.append((new_row, rhs - shift))
             offset, basis, ineqs, eqs = new_offset, new_basis, new_ineqs, []
             continue
@@ -535,17 +511,14 @@ def ilp_feasible(system: LinearSystem) -> tuple[bool, Optional[Vector]]:
             _check_witness(system, x)
             return True, x
 
-        base = LinearSystem(k, inequalities=tuple(ineqs))
+        base = LinearSystem(k, (), tuple(ineqs))
         ok, _ = lp_feasible(base)
         if not ok:
             return False, None
 
         tightened = None
         for idx, (row, rhs) in enumerate(ineqs):
-            probe = LinearSystem(
-                k,
-                inequalities=tuple(ineqs[:idx] + [(row, rhs + 1)] + ineqs[idx + 1:]),
-            )
+            probe = LinearSystem(k, (), tuple(ineqs[:idx] + [(row, rhs + 1)] + ineqs[idx + 1:]))
             feas, _ = lp_feasible(probe)
             if not feas:
                 # every integer point has row . t exactly rhs
@@ -576,7 +549,7 @@ def ilp_feasible(system: LinearSystem) -> tuple[bool, Optional[Vector]]:
         nodes += 1
         if nodes > _ILP_NODE_CAP:
             raise CapExceededError("integer feasibility search exceeded node cap")
-        node_sys = LinearSystem(k, inequalities=tuple(ineqs) + tuple(bound_rows(lo, hi)))
+        node_sys = LinearSystem(k, (), tuple(ineqs) + tuple(bound_rows(lo, hi)))
         feas, point = lp_feasible(node_sys)
         if not feas:
             continue
@@ -652,5 +625,5 @@ def _covector_for_pattern(
     eqs += [(vectors[k], 0) for k in zeros]
     ins = tuple((vectors[j], low) for j in others)
     n = len(vectors[rho])
-    ok, e = ilp_feasible(LinearSystem(n, equalities=tuple(eqs), inequalities=ins))
+    ok, e = ilp_feasible(LinearSystem(n, tuple(eqs), ins))
     return e if ok else None

@@ -102,21 +102,22 @@ def _pair_with_and_without_torsion() -> tuple[ElementCollection, ElementCollecti
 
 def test_each_entry_point_builds_one_smith_form_of_the_lifted_matrix(monkeypatch):
     # generation and the relations come off one Smith form of the pair's
-    # lifted matrix; is_admissible on a torsion-free pair needs no relations
+    # lifted matrix, counted at _smith, the routine that builds every
+    # Smith form; is_admissible reads the relations for every group
     lifted, bases = [], []
-    snf, basis = galefan.linalg.smith_normal_form, galefan.groups._relation_basis
+    smith, basis = galefan.linalg._smith, galefan.groups._relation_basis
 
-    def recording_snf(a):
-        lifted.append(a)
-        return snf(a)
+    def recording_smith(rows, n):
+        lifted.append((tuple(map(tuple, rows)), n))
+        return smith(rows, n)
 
     def recording_basis(coll):
         bases.append(coll)
         return basis(coll)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("galefan.") and hasattr(module, "smith_normal_form"):
-            monkeypatch.setattr(module, "smith_normal_form", recording_snf)
+        if name.startswith("galefan.") and hasattr(module, "_smith"):
+            monkeypatch.setattr(module, "_smith", recording_smith)
     monkeypatch.setattr(galefan.groups, "_relation_basis", recording_basis)
     for coll in _pair_with_and_without_torsion():
         matrix = _lifted_matrix(coll.elements, coll.group)
@@ -124,8 +125,32 @@ def test_each_entry_point_builds_one_smith_form_of_the_lifted_matrix(monkeypatch
             lifted.clear()
             bases.clear()
             entry(coll)
-            assert sum(a == matrix for a in lifted) == 1, (entry.__name__, coll.group)
-        assert len(bases) == (1 if coll.group.torsion else 0)
+            assert lifted.count((matrix.entries, matrix.cols)) == 1, (entry.__name__, coll.group)
+        assert len(bases) == 1
+
+
+def test_repeated_values_keep_the_lifted_route(monkeypatch):
+    # Z (1, 1, 2, 2, 3): a complement with a repeated value asks about
+    # its distinct values, one with distinct values asks the Gale dual;
+    # both leave at most one unknown, so the fan asks no LP
+    lifted, lps = [], []
+    membership, lp = galefan.groups.semigroup_membership, galefan.linalg.lp_feasible
+
+    def recording_membership(target, gens):
+        lifted.append(gens)
+        return membership(target, gens)
+
+    def recording_lp(system):
+        lps.append(system)
+        return lp(system)
+
+    monkeypatch.setattr(galefan.groups, "semigroup_membership", recording_membership)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("galefan.") and getattr(module, "lp_feasible", None) is lp:
+            monkeypatch.setattr(module, "lp_feasible", recording_lp)
+    galefan.linalg.ilp_feasible.cache_clear()
+    fan = build_maximal_fan(ints(1, 1, 2, 2, 3))
+    assert len(fan.cones) == 24 and len(lifted) == 9 and lps == []
 
 
 def test_maximal_fan_checks_regularity_on_maximal_cones(monkeypatch):

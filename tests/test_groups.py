@@ -6,10 +6,13 @@ from itertools import combinations
 
 import pytest
 
+import galefan.groups as groups
 from galefan import (
     AbelianGroup,
+    AdmissibilityResult,
     ElementCollection,
     IntMatrix,
+    VectorConfiguration,
     direct_sum,
     direct_sum_collection,
     generates_full_semigroup,
@@ -18,6 +21,7 @@ from galefan import (
     integer_kernel,
     is_admissible,
     is_link,
+    lattice_gale_transform,
     row_hermite_form,
     semigroup_membership,
     smith_normal_form,
@@ -256,12 +260,13 @@ def _raw_admissibility(coll):
 
 
 def test_distinct_value_rule_matches_raw_membership(covector_answers):
-    # the distinct-value reduction, the zero / equal-value shortcut and,
-    # with torsion, the covector search on the Gale dual, against one
-    # membership search per outside index on the raw generators, over
-    # every index subset; r <= 5 is drawn and doubling reaches 6 (the
-    # raw searches of a drawn r = 6 take seconds each).  Collections
-    # without relations (a rank-0 dual) are drawn and also appended
+    # the distinct-value reduction, the zero / equal-value shortcut and
+    # the covector search on the Gale dual, against one membership
+    # search per outside index on the raw generators, over every index
+    # subset; r <= 5 is drawn and doubling reaches 6 (the raw searches
+    # of a drawn r = 6 take seconds each).  Collections without
+    # relations (a rank-0 dual) are drawn and also appended.  Torsion-free
+    # draws, mostly with distinct values, reach the dual route too
     rng = random.Random(1)
     colls = []
     for _ in range(50):
@@ -275,6 +280,13 @@ def test_distinct_value_rule_matches_raw_membership(covector_answers):
         if rng.random() < 0.3:
             elems = elems[: (r + 1) // 2] * 2
         rng.shuffle(elems)
+        colls.append(ElementCollection(group, tuple(elems)))
+    for _ in range(30):
+        group = AbelianGroup(rng.randint(1, 3))
+        r = rng.randint(1, 5)
+        elems = [random_element(rng, group, height=2) for _ in range(r)]
+        if rng.random() < 0.3:
+            elems[rng.randrange(r)] = elems[rng.randrange(r)]
         colls.append(ElementCollection(group, tuple(elems)))
     zt, zzt = AbelianGroup(1, (6,)), AbelianGroup(2, (2,))
     colls += [
@@ -291,19 +303,20 @@ def test_distinct_value_rule_matches_raw_membership(covector_answers):
                 got = generates_full_semigroup(coll, chosen)
                 assert got == _raw_generates(coll, chosen), (coll, chosen)
                 seen.add(("generates", got))
-                if coll.group.torsion:
-                    cone = set(coll.indices) - set(chosen)
-                    gens = coll.take(chosen)
-                    for i in cone:
-                        want = semigroup_membership(coll[i], gens)[0]
-                        assert _in_semigroup_outside(coll, i, cone, dual) == want, (coll, i, chosen)
+                cone = set(coll.indices) - set(chosen)
+                gens = coll.take(chosen)
+                for i in cone:
+                    want = semigroup_membership(coll[i], gens)[0]
+                    assert _in_semigroup_outside(coll, i, cone, dual) == want, (coll, i, chosen)
         res = is_admissible(coll)
         want = _raw_admissibility(coll)
         assert (res.admissible, res.generates, res.failing_index) == want, coll
         seen.add(("admissible", want[0], want[1]))
-        if coll.group.free_rank:
+        if not coll.group.torsion:
+            seen.update(("torsion-free covector", a) for a in covector_answers)
+        elif coll.group.free_rank:
             seen.update(("covector", a) for a in covector_answers)
-        if not any(dual):  # every dual vector is empty
+        if coll.group.torsion and not any(dual):  # every dual vector is empty
             seen.add(("no relations", coll.group.free_rank > 0))
     assert seen == {
         ("generates", True),
@@ -313,8 +326,24 @@ def test_distinct_value_rule_matches_raw_membership(covector_answers):
         ("admissible", False, False),
         ("covector", True),
         ("covector", False),
+        ("torsion-free covector", True),
+        ("torsion-free covector", False),
         ("no relations", True),
     }
+
+
+def test_torsion_free_admissibility_asks_the_dual(monkeypatch):
+    # Z^2 with values (1,-1), (1,-2), (1,0), (0,1): the relations have
+    # rank 2 and each element's others are distinct, so every question
+    # goes to the Gale dual and no lifted membership search is asked
+    _, coll = lattice_gale_transform(VectorConfiguration(2, ((1, 0), (0, 1), (-1, -1), (1, 2))))
+    assert [e.free for e in coll] == [(1, -1), (1, -2), (1, 0), (0, 1)]
+
+    def refuse(*args):
+        raise AssertionError("the lifted membership search was asked")
+
+    monkeypatch.setattr(groups, "semigroup_membership", refuse)
+    assert is_admissible(coll) == AdmissibilityResult(False, True, 1)
 
 
 def test_relation_basis_is_a_shorter_basis_of_the_same_relations():

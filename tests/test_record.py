@@ -13,6 +13,7 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -38,6 +39,7 @@ from galefan import (
     VectorConfiguration,
     direct_sum,
     group_from_cokernel,
+    semigroup_membership,
     smith_normal_form,
     solve_diophantine,
 )
@@ -193,6 +195,30 @@ def test_post_init_normalises_and_validates():
     z = AbelianGroup(1)
     with pytest.raises(ValueError):
         GSet(ElementCollection(z, (z.element((1,)),)), frozenset({frozenset()}))
+
+
+def test_constructors_refuse_non_integers():
+    # integer fields convert with operator.index: a float, Fraction or
+    # string is refused instead of truncated, while a bool still counts
+    z = AbelianGroup(1)
+    for bad in (1.5, Fraction(3, 2), "1"):
+        with pytest.raises(TypeError):
+            z.element((bad,))
+        with pytest.raises(TypeError):
+            IntMatrix([[bad, 2]])
+        with pytest.raises(TypeError):
+            LinearSystem(1, equalities=(((bad,), 0),))
+        with pytest.raises(TypeError):
+            LinearSystem(1, inequalities=(((1,), bad),))
+        with pytest.raises(TypeError):
+            VectorConfiguration(1, ((bad,),))
+        with pytest.raises(TypeError):
+            AbelianGroup(0, (bad,))
+    with pytest.raises(TypeError):
+        semigroup_membership(z.element((1.5,)), (z.element((1,)),))
+    assert IntMatrix([[True, 2]]).entries == ((1, 2),)
+    assert type(IntMatrix([[True, 2]]).entries[0][0]) is int
+    assert z.element((True,)).free == (1,)
 
 
 def test_cli_import_loads_every_module_without_dataclasses():
