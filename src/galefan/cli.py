@@ -165,10 +165,11 @@ def _fan_build_max(args) -> tuple[dict, int]:
 
 
 def _fan_roots(args) -> tuple[dict, int]:
-    if args.bound is None or args.bound < 0:
+    bound = jsonio.decode_flag(args.bound, "--bound")
+    if len(bound) != 1 or bound[0] < 0:
         raise InputFormatError("roots: --bound must be a non-negative integer")
     fan = jsonio.decode_fan(_read_json(args.input))
-    roots = fans.roots_in_box(fan, args.bound)
+    roots = fans.roots_in_box(fan, bound[0])
     return {"roots": [jsonio.encode_root(r) for r in roots]}, 0
 
 
@@ -177,7 +178,7 @@ def _fan_connect(args) -> tuple[dict, int]:
     # comma-separated 1-based indices; a blank value is the empty set
     size = len(fan.config)
     cone, facet = (
-        jsonio.decode_index_set(text.split(",") if text.strip() else [], size, what)
+        jsonio.decode_index_set(jsonio.decode_flag(text, what), size, what)
         for text, what in ((args.cone, "--cone"), (args.facet, "--facet"))
     )
     try:
@@ -190,11 +191,10 @@ def _fan_connect(args) -> tuple[dict, int]:
 
 def _fan_he_pairs(args) -> tuple[dict, int]:
     fan = jsonio.decode_fan(_read_json(args.input))
-    try:
-        cov = [int(p) for p in args.covector.split(",")] if args.covector else []
-    except ValueError as exc:
-        raise InputFormatError("--covector: expected comma-separated integers") from exc
-    root = jsonio.decode_root({"covector": cov, "ray": args.ray}, fan.config.rank, len(fan.config))
+    data = {"covector": jsonio.decode_flag(args.covector, "--covector")}
+    if args.ray is not None:
+        data["ray"] = args.ray
+    root = jsonio.decode_root(data, fan.config.rank, len(fan.config))
     pairs = fans.he_connected_pairs(fan, root)
     return {
         "pairs": [{"facet": jsonio.encode_index(f), "cone": jsonio.encode_index(c)} for f, c in pairs]
@@ -465,11 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
     command("check", "decision procedures")
 
     p_fan = command("fan", "fan construction and root queries")
-    p_fan.add_argument("--bound", type=int, help="sup-norm bound for roots")
+    p_fan.add_argument("--bound", help="sup-norm bound for roots")
     p_fan.add_argument("--cone", default="", help="comma-separated 1-based ray indices")
     p_fan.add_argument("--facet", default="", help="comma-separated 1-based ray indices")
     p_fan.add_argument("--covector", default="", help="comma-separated covector entries")
-    p_fan.add_argument("--ray", type=int, help="1-based distinguished ray index")
+    p_fan.add_argument("--ray", help="1-based distinguished ray index")
 
     p_gset = command("gset", "families of generating subcollections")
     p_gset.add_argument("-f", "--fan", help="fan JSON file (from-fan)")

@@ -72,7 +72,7 @@ class VectorConfiguration(Record):
                 raise ValueError("vector length does not match rank")
             if all(c == 0 for c in v):
                 raise DegenerateConfigurationError("configuration contains a zero vector")
-        if matrix_rank(IntMatrix(vecs, cols=self.rank)) < self.rank:
+        if matrix_rank(IntMatrix(vecs, self.rank)) < self.rank:
             raise DegenerateConfigurationError("vectors do not span the ambient space")
 
     def __len__(self) -> int:
@@ -107,7 +107,7 @@ class SimplicialFan(Record):
     cones: frozenset[Cone]
 
     def __post_init__(self):
-        normal = {frozenset(int(i) for i in c) for c in self.cones}
+        normal = {frozenset(map(index, c)) for c in self.cones}
         normal.add(frozenset())
         for c in normal:
             for i in c:
@@ -381,8 +381,8 @@ def root_connecting(
     zero sets leave fewer unknowns, and whether a root exists does not
     depend on the order; the root returned has a largest zero set.
     """
-    sigma = frozenset(int(i) for i in cone)
-    tau = frozenset(int(i) for i in facet)
+    sigma = frozenset(map(index, cone))
+    tau = frozenset(map(index, facet))
     if sigma not in fan.cones or tau not in fan.cones:
         raise ValueError("cone or facet not in the fan")
     if not (tau < sigma and len(sigma - tau) == 1):

@@ -40,7 +40,7 @@ def lattice_gale_transform(config: VectorConfiguration) -> tuple[AbelianGroup, E
     >>> (g.free_rank, g.torsion, [e.torsion for e in coll])
     (0, (2,), [(1,), (1,)])
     """
-    cok = group_from_cokernel(IntMatrix(config.vectors, cols=config.rank))
+    cok = group_from_cokernel(IntMatrix(config.vectors, config.rank))
     group, f = cok.group, cok.group.free_rank
     cols = (cok.projection.col(i) for i in config.indices)
     return group, ElementCollection(group, tuple(group.element(c[:f], c[f:]) for c in cols))

@@ -181,7 +181,7 @@ def group_from_cokernel(a: IntMatrix) -> CokernelMap:
     u, diag, _ = _smith(a.entries, a.cols)
     torsion_rows = [i for i, d in enumerate(diag) if d >= 2]
     group = AbelianGroup(a.rows - len(diag), tuple(diag[i] for i in torsion_rows))
-    proj = IntMatrix([u[i] for i in [*range(len(diag), a.rows), *torsion_rows]], cols=a.rows)
+    proj = IntMatrix([u[i] for i in [*range(len(diag), a.rows), *torsion_rows]], a.rows)
     return CokernelMap(group, proj)
 
 
@@ -199,7 +199,7 @@ def _lifted_rows(gens: Sequence[GroupElement], group: AbelianGroup) -> list[Vect
 
 
 def _lifted_matrix(gens: Sequence[GroupElement], group: AbelianGroup) -> IntMatrix:
-    return IntMatrix(_lifted_rows(gens, group), cols=len(gens) + len(group.torsion))
+    return IntMatrix(_lifted_rows(gens, group), len(gens) + len(group.torsion))
 
 
 def _generating_kernel(gens: Sequence[GroupElement], group: AbelianGroup) -> Optional[list]:

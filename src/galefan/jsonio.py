@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any
+from typing import Any, Optional
 
 from .classify import GSet
 from .fans import DemazureRoot, SimplicialFan, VectorConfiguration
@@ -48,12 +48,12 @@ def _dec_int(value: Any, what: str) -> int:
     if isinstance(value, str):
         s = value.strip()
         stripped = s[1:] if s[:1] in "+-" else s
-        if not stripped.isdecimal():
+        if not (stripped.isascii() and stripped.isdecimal()):
             raise InputFormatError(f"{what}: invalid integer string {value!r}")
         try:
             return int(s)
         except ValueError as exc:
-            # int reads every decimal digit, so only the length limit is left
+            # int reads every ASCII digit, so only the length limit is left
             raise _too_long(what) from exc
     raise InputFormatError(f"{what}: expected an integer, got {type(value).__name__}")
 
@@ -177,6 +177,12 @@ def encode_index(index: Any) -> Any:
     if isinstance(index, frozenset):
         return [encode_index(i) for i in sorted(index)]
     return index + 1
+
+
+def decode_flag(text: Optional[str], what: str) -> list[int]:
+    """The integers of a comma-separated command-line value, each read as
+    an integer string; a blank or missing value has none."""
+    return _int_list(text.split(",") if text and text.strip() else [], what)
 
 
 def decode_index_set(data: Any, size: int, what: str) -> frozenset[int]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import index
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._record import Record
 from .errors import CapExceededError, InternalError
@@ -26,13 +26,15 @@ def dot(v: Sequence[int], w: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(v, w))
 
 
-class IntMatrix:
-    """Immutable integer matrix, row-major."""
+class IntMatrix(Record):
+    """Immutable integer matrix, row-major; an empty one has ``cols`` or 0 columns."""
 
-    __slots__ = ("entries", "rows", "cols")
+    entries: tuple[Vector, ...]
+    cols: Optional[int] = None
 
-    def __init__(self, entries: Iterable[Iterable[int]], cols: Optional[int] = None):
-        rows = tuple(tuple(map(index, row)) for row in entries)
+    def __post_init__(self):
+        rows = tuple(tuple(map(index, row)) for row in self.entries)
+        cols = self.cols
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -42,37 +44,21 @@ class IntMatrix:
         else:
             width = 0 if cols is None else index(cols)
         object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
         cols = [tuple(c) for c in columns]
-        if cols:
-            height = len(cols[0])
-        else:
-            height = 0 if rows is None else rows
-        return cls(tuple(tuple(c[i] for c in cols) for i in range(height)), cols=len(cols))
+        height = len(cols[0]) if cols else rows or 0
+        return cls(tuple(tuple(c[i] for c in cols) for i in range(height)), len(cols))
 
     def __getitem__(self, idx):
         i, j = idx
         return self.entries[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.entries == other.entries and self.cols == other.cols
-
-    def __hash__(self):
-        return hash((self.entries, self.cols))
-
-    def __repr__(self):
-        return f"IntMatrix({list(map(list, self.entries))!r})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which may set slots
-        return IntMatrix, (self.entries, self.cols)
 
     def row(self, i: int) -> Vector:
         return self.entries[i]
@@ -189,7 +175,7 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     for i, x in enumerate(diag):
         d[i][i] = x
     v = IntMatrix.from_columns(v, rows=a.cols)
-    return SnfResult(IntMatrix(u, cols=a.rows), IntMatrix(d, cols=a.cols), v)
+    return SnfResult(IntMatrix(u, a.rows), IntMatrix(d, a.cols), v)
 
 
 def row_hermite_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -235,7 +221,7 @@ def row_hermite_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 h[i] = [x - q * y for x, y in zip(h[i], h[p])]
                 u[i] = [x - q * y for x, y in zip(u[i], u[p])]
         p += 1
-    return IntMatrix(u, cols=m), IntMatrix(h, cols=n)
+    return IntMatrix(u, m), IntMatrix(h, n)
 
 
 def integer_kernel(a: IntMatrix) -> tuple[Vector, ...]:
@@ -425,8 +411,14 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def _apriori_box(rows: list[Vector], rhs: list[int]) -> int:
-    # standard polynomial bound on the magnitude of some integer solution
-    # of an inequality system, via its non-negative standard form
+    # Papadimitriou ("On the complexity of integer programming", J. ACM
+    # 28(4), 1981): if Ax = b, x >= 0, with A of m rows and n columns and
+    # every entry of A and b at most a in absolute value, has an integer
+    # solution, it has one with entries at most n (m a)^(2m+1).  The
+    # standard form of rows . t >= rhs, rows . t+ - rows . t- - s = rhs, has
+    # m rows, n' = 2k + m unknowns and entries at most a (a >= 2 covers the
+    # slacks' -1), so some integer solution has |t_j| <= t+_j + t-_j, which
+    # is at most 2 n' (m a)^(2m+1)
     m = len(rows)
     k = len(rows[0]) if rows else 0
     a = max([abs(e) for row in rows for e in row] + [abs(b) for b in rhs] + [2])

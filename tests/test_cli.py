@@ -590,7 +590,8 @@ def test_argv_errors_get_the_input_envelope(cli, tmp_path):
     fan_file = jfile(tmp_path, "fan.json", P2_FAN)
     code, out, _ = cli(["classify", "big-open", "-i", fan_file, "-m", "-"], stdin=json.dumps(P2_FAN))
     assert (code, json.loads(out)) == (0, {"big_open": True})
-    # what the parser refuses gets the envelope too, with the parser's message
+    # what the parser refuses gets the envelope too, with the parser's
+    # message, and so does an integer flag that is not an integer string
     for argv, words in (
         (["gale", "transform", "--bound", "3"], "unrecognized arguments: --bound 3"),
         (["fan", "roots", "--bound", "abc"], "--bound"),
@@ -645,15 +646,44 @@ def test_big_integers_round_trip_as_strings(cli):
 
 
 def test_integer_strings_are_decimal_digits(cli):
-    # "²" is a digit to str.isdigit, but int cannot read it; "٣" is a
-    # decimal digit, and int reads it as 3
+    # "²" is a digit to str.isdigit, but int cannot read it; a sign and
+    # surrounding whitespace are read
     def pair(first):
         return json.dumps({"group": {"free_rank": 1, "torsion": []}, "collection": [[first], [1], [1]]})
 
     code, out, _ = cli(["check", "admissible"], stdin=pair("²"))
     message = "pair.collection[0][0]: invalid integer string '²'"
     assert (code, json.loads(out)) == (2, {"error": {"type": "input", "message": message}})
-    assert cli(["check", "admissible"], stdin=pair("٣")) == cli(["check", "admissible"], stdin=pair(3))
+    assert cli(["check", "admissible"], stdin=pair(" +3 ")) == cli(["check", "admissible"], stdin=pair(3))
+
+
+@pytest.mark.parametrize("digit", ["\u0663", "\uff13", "\u09e9"], ids=["arabic-indic", "fullwidth", "bengali"])
+def test_integer_strings_are_ascii_digits(cli, digit):
+    # Arabic-Indic, fullwidth and Bengali three are decimal digits that
+    # int reads as 3, but an integer string is ASCII digits
+    text = json.dumps({"group": {"free_rank": 1, "torsion": []}, "collection": [[digit], [-1]]})
+    code, out, _ = cli(["check", "admissible"], stdin=text)
+    message = f"pair.collection[0][0]: invalid integer string {digit!r}"
+    assert (code, json.loads(out)) == (2, {"error": {"type": "input", "message": message}})
+
+
+@pytest.mark.parametrize(
+    "argv, what, value",
+    [
+        (["fan", "roots", "--bound", "1_0"], "--bound[0]", "1_0"),
+        (["fan", "connect", "--cone", "\u0661", "--facet", ""], "--cone[0]", "\u0661"),
+        (["fan", "connect", "--cone", "2,3", "--facet", "\u0663"], "--facet[0]", "\u0663"),
+        (["fan", "he-pairs", "--covector= -1,\u0660", "--ray", "2"], "--covector[1]", "\u0660"),
+        (["fan", "he-pairs", "--covector=-1,0", "--ray", "\u0661"], "root.ray", "\u0661"),
+    ],
+    ids=["bound", "cone", "facet", "covector", "ray"],
+)
+def test_integer_flags_follow_the_integer_string_rule(cli, argv, what, value):
+    # int reads "1_0" as 10 and every Unicode decimal digit; the flags are
+    # read as JSON integer strings are, like --cone and --facet
+    code, out, _ = cli(argv, stdin=json.dumps(P2_FAN))
+    message = f"{what}: invalid integer string {value!r}"
+    assert (code, json.loads(out)) == (2, {"error": {"type": "input", "message": message}})
 
 
 @pytest.mark.parametrize("quote, where", [("", "invalid JSON"), ('"', "pair.collection[0][0]")])

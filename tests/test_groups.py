@@ -31,6 +31,7 @@ from galefan import (
 from galefan.groups import _in_semigroup_outside, _lifted_matrix, _relation_basis
 
 from conftest import (
+    TORSION_CHAINS,
     admissible_catalog,
     brute_semigroup_membership,
     mitm_work,
@@ -193,6 +194,26 @@ def test_semigroup_membership_matches_brute_force():
         checked += 1
         ok, _ = semigroup_membership(target, gens)
         assert ok == brute_semigroup_membership(target, gens)
+
+
+def test_finite_semigroup_membership_is_subgroup_membership():
+    # in a finite group -g = (ord g - 1) g, so a set generates the same
+    # semigroup as subgroup: subgroup membership referees the semigroup
+    # answers on decide's torsion chains
+    rng = random.Random(29)
+    chains = [chain for chain in TORSION_CHAINS if chain]
+    members = 0
+    for turn in range(40):
+        g = AbelianGroup(0, chains[turn % len(chains)])
+        gens = [random_element(rng, g) for _ in range(rng.randint(1, 3))]
+        target = random_element(rng, g)
+        ok, coeffs = semigroup_membership(target, gens)
+        assert ok == subgroup_membership(target, gens)
+        if ok:
+            members += 1
+            assert all(c >= 0 for c in coeffs)
+            assert sum((c * e for c, e in zip(coeffs, gens)), g.zero()) == target
+    assert 0 < members < 40
 
 
 def test_coefficient_bound_positive():

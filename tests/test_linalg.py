@@ -42,6 +42,14 @@ def test_matrix_basics():
     assert a.row(1) == (3, 4)
     assert a.col(0) == (1, 3)
     assert IntMatrix.from_columns([(1, 0), (2, 5)], rows=2).entries == ((1, 2), (0, 5))
+    assert (a.rows, a.cols, a[1, 0], a.apply((1, 1))) == (2, 2, 3, (3, 7))
+    # an empty matrix takes its width from cols, or 0
+    assert (IntMatrix(()).cols, IntMatrix((), 3).cols, IntMatrix((), 3).rows) == (0, 3, 0)
+    assert IntMatrix.from_columns([], rows=2) == IntMatrix(((), ()), 0)
+    with pytest.raises(ValueError, match="ragged rows"):
+        IntMatrix(((1,), (1, 2)))
+    with pytest.raises(ValueError, match="cols does not match row width"):
+        IntMatrix(((1, 2),), 3)
 
 
 @settings(max_examples=150, deadline=None)

@@ -39,6 +39,7 @@ from galefan import (
     VectorConfiguration,
     direct_sum,
     group_from_cokernel,
+    root_connecting,
     semigroup_membership,
     smith_normal_form,
     solve_diophantine,
@@ -68,6 +69,7 @@ def _samples():
         group,
         elem,
         coll,
+        IntMatrix([[1, 0], [1, 2]]),
         group_from_cokernel(IntMatrix([[1, 0], [1, 2]])),
         AdmissibilityResult(False, True, 2),
         Certificate(0, frozenset({1, 2}), (1, 3)),
@@ -105,7 +107,7 @@ def test_samples_cover_every_exported_value_type():
     }
     sampled = {type(x).__name__ for x in _samples() if type(x) is not Certificate}
     assert exported == sampled
-    assert len(exported) == 20
+    assert len(exported) == 21
 
 
 @pytest.mark.parametrize("x", _samples(), ids=lambda x: type(x).__name__)
@@ -201,6 +203,8 @@ def test_constructors_refuse_non_integers():
     # integer fields convert with operator.index: a float, Fraction or
     # string is refused instead of truncated, while a bool still counts
     z = AbelianGroup(1)
+    line = VectorConfiguration(1, ((1,), (-1,)))
+    fan = SimplicialFan(line, [[0], [1]])
     for bad in (1.5, Fraction(3, 2), "1"):
         with pytest.raises(TypeError):
             z.element((bad,))
@@ -214,6 +218,10 @@ def test_constructors_refuse_non_integers():
             VectorConfiguration(1, ((bad,),))
         with pytest.raises(TypeError):
             AbelianGroup(0, (bad,))
+        with pytest.raises(TypeError):
+            SimplicialFan(line, [[0], [bad]])
+        with pytest.raises(TypeError):
+            root_connecting(fan, [bad], [])
     with pytest.raises(TypeError):
         semigroup_membership(z.element((1.5,)), (z.element((1,)),))
     assert IntMatrix([[True, 2]]).entries == ((1, 2),)
