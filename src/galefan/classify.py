@@ -12,15 +12,16 @@ exactly from the collection and its Gale dual.
 from __future__ import annotations
 
 from itertools import chain, combinations, product
+from math import prod
 from typing import Optional
 
 from ._record import Record
 from .errors import (
-    CapExceededError,
     InternalError,
     InvalidFanError,
     NotAdmissibleError,
     NotGeneratingError,
+    check_search,
 )
 from .fans import (
     SimplicialFan,
@@ -42,9 +43,6 @@ from .groups import (
     is_link,
     semigroup_membership,
 )
-
-ENUMERATE_GSETS_CAP = 4
-ENUMERATE_LINKS_CAP = 10
 
 
 class GSet(Record):
@@ -201,7 +199,7 @@ def is_connected_gset(gset: GSet) -> ConnectednessResult:
     demand: targets ascending, supports by size and lexicographically,
     the removal rule before the integer search, and the first link
     found passes the member.  Supports range over a member's subsets,
-    so (C3) is capped at ``ENUMERATE_LINKS_CAP`` elements.
+    so (C3) refuses more than ``SEARCH_CAP`` (target, support) pairs.
     """
     violation = _violation(gset.collection, gset.members)
     return ConnectednessResult(violation is None, violation)
@@ -219,8 +217,8 @@ def _violation(coll: ElementCollection, members) -> Optional[tuple]:
         for i in sorted(full - member):
             if member | {i} not in members:
                 return ("C2", (tuple(sorted(member)), i))
-    if r > ENUMERATE_LINKS_CAP:
-        raise CapExceededError(f"link enumeration needs r <= {ENUMERATE_LINKS_CAP}, got {r}")
+    pairs = sum((r - len(m)) << len(m) for m in members)
+    check_search("(C3) link search of %s (target, support) pairs", "sum (%d-|m|)*2^|m|" % r, pairs)
 
     def removal_rule_holds(target: int, support: tuple[int, ...]) -> bool:
         needed = {target, *support}
@@ -241,15 +239,12 @@ def _violation(coll: ElementCollection, members) -> Optional[tuple]:
 def enumerate_connected_gsets(coll: ElementCollection) -> tuple[GSet, ...]:
     """All connected families of generating subcollections.
 
-    Exhaustive over the subset lattice, so the collection size is hard
-    capped, and the collection must generate its group.  Families that
-    cannot satisfy (C1) make the result empty.
+    Exhaustive over the 2^r subsets, then over the families of the
+    generating ones, each count checked first against ``SEARCH_CAP``;
+    families that cannot satisfy (C1) make the result empty.
     """
     r = len(coll)
-    if r > ENUMERATE_GSETS_CAP:
-        raise CapExceededError(
-            "gset enumeration supports at most %d elements" % ENUMERATE_GSETS_CAP
-        )
+    check_search("G-set subset scan of %s subsets", "2^%d" % r, 1 << r)
     if not generates_group(coll):
         raise NotGeneratingError("collection does not generate its group")
     full = frozenset(range(r))
@@ -263,6 +258,7 @@ def enumerate_connected_gsets(coll: ElementCollection) -> tuple[GSet, ...]:
     if not mandatory <= set(generating):
         return ()
     optional = sorted((g for g in set(generating) - mandatory), key=cone_key)
+    check_search("G-set family scan of %s families", "2^%d" % len(optional), 1 << len(optional))
     found = []
     for mask in range(1 << len(optional)):
         members = frozenset(mandatory | {g for k, g in enumerate(optional) if mask >> k & 1})
@@ -315,6 +311,7 @@ def _finest_product_partition(
             for rel in relations
         )
 
+    check_search("product split scan of %s unions", "2^%d-2" % len(classes), (1 << len(classes)) - 2)
     atoms = [(1 << r) - 1] * r
     for pick in range(1, (1 << len(classes)) - 1):
         mask = sum(m for k, m in enumerate(classes) if pick >> k & 1)
@@ -331,17 +328,13 @@ def _rank_one_type(coll: ElementCollection) -> tuple[Optional[int], Optional[boo
     if group.free_rank != 1 or group.torsion:
         return None, None
     vals = [e.free[0] for e in coll]
-    has_pos = any(v > 0 for v in vals)
-    has_neg = any(v < 0 for v in vals)
-    if has_pos and has_neg:
+    if any(v > 0 for v in vals) and any(v < 0 for v in vals):
         return 1, None
-    if has_neg:
-        # flip the sign convention so that the positives dominate
-        vals = [-v for v in vals]
     if 0 in vals:
         return 3, None
     # both tests read only the set of chosen values: one index per value
     firsts = [g[0] for g in _value_index_groups(coll)]
+    check_search("rank-one locus scan of %s subsets", "2^%d-1" % len(firsts), (1 << len(firsts)) - 1)
     locus = not any(
         generates_group(coll, s) and not generates_full_semigroup(coll, s)
         for k in range(1, len(firsts) + 1)
@@ -408,6 +401,9 @@ def semisimple_shape(coll: ElementCollection) -> ShapeReport:
     value_groups = _value_index_groups(coll)
     if not _has_shape(coll, value_groups):
         return ShapeReport(False, value_groups, None, None)
+    sizes = [len(g) for g in value_groups]
+    members = prod((1 << k) - 1 for k in sizes)
+    check_search("shape G-set of %s members", "*".join("(2^%d-1)" % k for k in sizes), members)
     choices = [[s for k in range(1, len(g) + 1) for s in combinations(g, k)] for g in value_groups]
     gset = GSet(coll, frozenset(frozenset(chain(*pick)) for pick in product(*choices)))
     values = [coll[g[0]] for g in value_groups]

@@ -5,6 +5,8 @@ interchange does; structured fields such as ``FanViolation.indices``
 keep 0-based positions.
 """
 
+SEARCH_CAP = 500_000
+
 
 class GalefanError(Exception):
     """Base class for errors raised by this package."""
@@ -36,6 +38,18 @@ class NotGeneratingError(GalefanError):
 
 class CapExceededError(GalefanError):
     """A configured enumeration or search cap was exceeded; result undecided."""
+
+
+def check_search(search: str, formula: str, count: int, exact: bool = True) -> None:
+    """Refuse a search of more than ``SEARCH_CAP`` candidates before it starts.
+
+    ``search`` gets ``formula = count`` for its ``%s``, or the formula alone
+    when the count is a lower bound (``exact=False``) or too long to print.
+    """
+    if count > SEARCH_CAP:
+        shown = exact and count.bit_length() <= 14_000  # under Python's 4,300-digit limit
+        size = "%s = %d" % (formula, count) if shown else formula
+        raise CapExceededError(f"{search % size} exceeds the cap of {SEARCH_CAP}")
 
 
 class InternalError(GalefanError):

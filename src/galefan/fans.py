@@ -23,11 +23,11 @@ from typing import AbstractSet, Iterable, Optional, Sequence
 
 from ._record import Record
 from .errors import (
-    CapExceededError,
     DegenerateConfigurationError,
     InternalError,
     InvalidFanError,
     InvalidRootError,
+    check_search,
 )
 from .linalg import (
     IntMatrix,
@@ -42,8 +42,6 @@ from .linalg import (
 )
 
 Cone = frozenset
-
-ROOTS_SCAN_CAP = 500_000
 
 
 def is_primitive(v: Sequence[int]) -> bool:
@@ -66,6 +64,7 @@ class VectorConfiguration(Record):
 
     def __post_init__(self):
         vecs = tuple(tuple(map(index, v)) for v in self.vectors)
+        object.__setattr__(self, "rank", index(self.rank))
         object.__setattr__(self, "vectors", vecs)
         for v in vecs:
             if len(v) != self.rank:
@@ -136,6 +135,10 @@ def one_skeleton_fan(config: VectorConfiguration) -> SimplicialFan:
 class DemazureRoot(Record):
     covector: Vector
     distinguished_ray: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "covector", tuple(map(index, self.covector)))
+        object.__setattr__(self, "distinguished_ray", index(self.distinguished_ray))
 
 
 class FanViolation(Record):
@@ -339,24 +342,19 @@ def roots_in_box(fan: SimplicialFan, bound: int) -> tuple[DemazureRoot, ...]:
     """All Demazure roots with sup-norm at most the bound.
 
     Output is ordered by covector, then ray.  The scan visits all
-    (2*bound+1)^rank covectors of the box; past ROOTS_SCAN_CAP of them
+    (2*bound+1)^rank covectors of the box; past ``SEARCH_CAP`` of them
     it raises CapExceededError before scanning.
     """
     if bound < 0:
         raise ValueError("negative bound")
     n = fan.config.rank
-    # a bound past the cap is refused before its power is formed
-    if n and (bound > ROOTS_SCAN_CAP or (2 * bound + 1) ** n > ROOTS_SCAN_CAP):
+    if n:
         size = "(2*%d+1)^%d" % (bound, n)
-        if bound <= ROOTS_SCAN_CAP:
-            size += " = %d" % (2 * bound + 1) ** n
-        raise CapExceededError(
-            f"root scan of {size} covectors exceeds the cap of {ROOTS_SCAN_CAP}"
-        )
+        # a bound past the cap is refused before its power is formed
+        check_search("root scan of %s covectors", size, bound, exact=False)
+        check_search("root scan of %s covectors", size, (2 * bound + 1) ** n)
     out = []
     for e in product(range(-bound, bound + 1), repeat=n):
-        if all(c == 0 for c in e):
-            continue
         pair = [dot(v, e) for v in fan.config.vectors]
         negatives = [i for i, p in enumerate(pair) if p < 0]
         # (R1): exactly one negative pairing, and it is -1
@@ -389,6 +387,7 @@ def root_connecting(
         raise ValueError("second argument is not a facet of the first")
     (rho,) = sigma - tau
     others = [i for i in fan.config.indices if i not in sigma]
+    check_search("root zero-set search of %s zero sets", "2^%d" % len(others), 1 << len(others))
     for size in range(len(others), -1, -1):
         for zs in combinations(others, size):
             zeros = tau | set(zs)
@@ -420,15 +419,13 @@ def is_strongly_regular(fan: SimplicialFan) -> StrongRegularityResult:
     """
     cert = []
     for c in fan.nonzero_cones():
-        hit = None
         for i in sorted(c):
             ok, root = root_connecting(fan, c, c - {i})
             if ok:
-                hit = (c, c - {i}, root)
+                cert.append((c, c - {i}, root))
                 break
-        if hit is None:
+        else:
             return StrongRegularityResult(False, (), c)
-        cert.append(hit)
     return StrongRegularityResult(True, tuple(cert), None)
 
 

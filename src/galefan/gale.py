@@ -14,7 +14,7 @@ from collections import Counter
 from itertools import chain, permutations, product
 from math import factorial, prod
 
-from .errors import CapExceededError, InternalError, NotGeneratingError
+from .errors import InternalError, NotGeneratingError, check_search
 from .groups import (
     AbelianGroup,
     ElementCollection,
@@ -25,8 +25,6 @@ from .groups import (
 )
 from .linalg import IntMatrix, Vector, integer_kernel, row_hermite_form
 from .fans import VectorConfiguration
-
-PAIR_EQUIVALENCE_CANDIDATE_CAP = 40320
 
 
 def lattice_gale_transform(config: VectorConfiguration) -> tuple[AbelianGroup, ElementCollection]:
@@ -136,8 +134,9 @@ def pairs_equivalent(left: ElementCollection, right: ElementCollection) -> bool:
     mults = sorted(set(lcount.values()))
     lgrouped = [sorted((v for v in lcount if lcount[v] == m), key=GroupElement.lift) for m in mults]
     rgrouped = [sorted((v for v in rcount if rcount[v] == m), key=GroupElement.lift) for m in mults]
-    if prod(factorial(len(g)) for g in lgrouped) > PAIR_EQUIVALENCE_CANDIDATE_CAP:
-        raise CapExceededError("too many candidate bijections between value classes")
+    sizes = [len(g) for g in lgrouped]
+    formula = "*".join("%d!" % k for k in sizes)
+    check_search("pair bijection search of %s bijections", formula, prod(map(factorial, sizes)))
 
     lvalues = list(chain(*lgrouped))
     for perms in product(*(permutations(g) for g in rgrouped)):

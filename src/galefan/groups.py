@@ -35,6 +35,7 @@ class AbelianGroup(Record):
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "free_rank", index(self.free_rank))
         object.__setattr__(self, "torsion", tuple(map(index, self.torsion)))
         if self.free_rank < 0:
             raise ValueError("negative free rank")

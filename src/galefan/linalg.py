@@ -316,6 +316,7 @@ class LinearSystem(Record):
     def __post_init__(self):
         eqs = tuple((tuple(map(index, row)), index(rhs)) for row, rhs in self.equalities)
         ins = tuple((tuple(map(index, row)), index(rhs)) for row, rhs in self.inequalities)
+        object.__setattr__(self, "n_vars", index(self.n_vars))
         for row, _ in eqs + ins:
             if len(row) != self.n_vars:
                 raise ValueError("row length mismatch")

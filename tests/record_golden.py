@@ -30,7 +30,10 @@ enumerate`` on a collection that does not generate its group (the
 ``precondition`` envelope), ``gale linear`` and ``check suitable`` with
 a coordinate of 2^64 (printed as a decimal string), and each two-input
 command whose second input names standard input while the first reads
-it (the ``input`` envelope).  A record may name input files in
+it (the ``input`` envelope), and then two searches past the search cap
+that must be refused at once (exit 3): ``gale equivalent`` on Z
+(1,...,10) against Z (-1,...,-10), 10! bijections, and ``classify
+semisimple`` on nineteen copies of 1, 2^19-1 members.  A record may name input files in
 ``files`` (file name -> contents); they are written to the working
 directory before the command runs.  Run from the repository root
 with the tree to record on the path:
@@ -190,6 +193,16 @@ CHANGED = [
     ("both inputs from stdin", ["classify", "big-open", "-m", "-"], P2_SKELETON),
 ]
 
+PAST_THE_CAP = [
+    (
+        "past the cap: Z (1,...,10) and Z (-1,...,-10)",
+        ["gale", "equivalent", "-j", "other.json"],
+        _ints(*range(1, 11)),
+        _ints(*range(-1, -11, -1)),
+    ),
+    ("past the cap: Z (1^19)", ["classify", "semisimple"], _ints(*[1] * 19), None),
+]
+
 
 OVERLAPPING_FAN = {
     "config": {"rank": 2, "vectors": [[1, 0], [0, 1], [-1, -1], [1, 1]]},
@@ -281,6 +294,9 @@ def record() -> list[dict]:
     add(name, ["classify", "big-open", "-m", "maximal.json"], skeleton, {"maximal.json": p2_fan})
     for name, argv, document in CHANGED:
         add(name, argv, json.dumps(document))
+    for name, argv, left, right in PAST_THE_CAP:
+        other = right and {"other.json": json.dumps(encode_pair(right))}
+        add(name, argv, json.dumps(encode_pair(left)), other)
     return cases
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from itertools import combinations
 
@@ -31,6 +32,9 @@ from galefan import (
     IntMatrix,
     is_strictly_convex,
     is_strongly_regular,
+    pairs_equivalent,
+    root_connecting,
+    roots_in_box,
     semisimple_shape,
     subfan_from_gset,
 )
@@ -339,14 +343,85 @@ def test_connectedness_c2():
 
 
 def test_connectedness_check_keeps_the_link_cap():
-    # (C1) and (C2) hold, so (C3) is reached, and 11 elements are past its cap
+    # (C1) and (C2) hold, so (C3) is reached: the members of size >= 6 of
+    # 11 elements have 511,104 (target, support) pairs, past the cap
     coll = ints(*[1] * 11)
     full = frozenset(range(11))
-    gs = GSet(coll, frozenset([full] + [full - {i} for i in range(11)]))
-    with pytest.raises(CapExceededError, match="r <= 10, got 11"):
-        is_connected_gset(gs)
+    members = frozenset(frozenset(s) for k in range(6, 12) for s in combinations(range(11), k))
+    message = "(C3) link search of sum (11-|m|)*2^|m| = 511104 (target, support) pairs"
+    with pytest.raises(CapExceededError, match=re.escape(message + " exceeds the cap of 500000")):
+        is_connected_gset(GSet(coll, members))
     # a family that fails (C1) is answered before the cap is looked at
     assert is_connected_gset(GSet(coll, frozenset({full}))).violation == ("C1", 0)
+
+
+SEARCHES = {
+    # search: (call on the maximal fan of Z (1,1,1) and its G-set, message);
+    # a cap of 3 is below each count, and where the search asks integer
+    # questions, its input makes it ask them
+    "roots": (
+        lambda fan, gset: roots_in_box(fan, 1),
+        "root scan of (2*1+1)^2 = 9 covectors exceeds the cap of 3",
+    ),
+    "root zero sets": (
+        lambda fan, gset: root_connecting(fan, frozenset({0}), frozenset()),
+        "root zero-set search of 2^2 = 4 zero sets exceeds the cap of 3",
+    ),
+    "pair bijections": (
+        lambda fan, gset: pairs_equivalent(ints(1, 2, 3), ints(1, 2, 3)),
+        "pair bijection search of 3! = 6 bijections exceeds the cap of 3",
+    ),
+    "G-set subsets": (
+        lambda fan, gset: enumerate_connected_gsets(ints(2, 3, 5)),
+        "G-set subset scan of 2^3 = 8 subsets exceeds the cap of 3",
+    ),
+    "(C3) links": (
+        lambda fan, gset: is_connected_gset(gset),
+        "(C3) link search of sum (3-|m|)*2^|m| = 24 (target, support) pairs exceeds the cap of 3",
+    ),
+    "shape G-set": (
+        lambda fan, gset: semisimple_shape(ints(2, 3, 2, 3)),
+        "shape G-set of (2^2-1)*(2^2-1) = 9 members exceeds the cap of 3",
+    ),
+    "product split": (
+        lambda fan, gset: _finest_product_partition(ints(1, 2, 3), ((1, 1, -1), (2, -1, 0))),
+        "product split scan of 2^3-2 = 6 unions exceeds the cap of 3",
+    ),
+    "rank-one locus": (
+        lambda fan, gset: _rank_one_type(ints(1, 2, 3)),
+        "rank-one locus scan of 2^3-1 = 7 subsets exceeds the cap of 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("search", SEARCHES)
+def test_every_search_refuses_past_the_cap_before_an_integer_question(monkeypatch, search):
+    call, message = SEARCHES[search]
+    fan = build_maximal_fan(ints(1, 1, 1))
+    gset = gset_from_subfan(ints(1, 1, 1), fan, fan)
+    asked = []
+    monkeypatch.setattr(galefan.errors, "SEARCH_CAP", 3)
+    for module in (galefan.linalg, galefan.groups):
+        monkeypatch.setattr(module, "ilp_feasible", lambda system: asked.append(system))
+    with pytest.raises(CapExceededError, match=re.escape(message)):
+        call(fan, gset)
+    assert asked == []
+
+
+def test_gset_enumeration_checks_its_families_after_its_subsets(monkeypatch):
+    # Z (1,1,1,1): 2^4 subsets pass a cap of 16, and 10 optional members
+    # make 2^10 families
+    monkeypatch.setattr(galefan.errors, "SEARCH_CAP", 16)
+    message = "G-set family scan of 2^10 = 1024 families exceeds the cap of 16"
+    with pytest.raises(CapExceededError, match=re.escape(message)):
+        enumerate_connected_gsets(ints(1, 1, 1, 1))
+
+
+def test_a_count_too_long_to_print_is_named_by_its_formula():
+    # 2^15000-1 has 4,516 digits, past the interpreter's limit for printing
+    message = "shape G-set of (2^15000-1) members exceeds the cap of 500000"
+    with pytest.raises(CapExceededError, match=re.escape(message)):
+        semisimple_shape(ints(*[1] * 15000))
 
 
 def test_enumerate_connected_gsets_triple():

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from galefan import VectorConfiguration, configs_equivalent
 from galefan.cli import COMMANDS, main
-from galefan.fans import ROOTS_SCAN_CAP
+from galefan.errors import SEARCH_CAP
 
 
 P2_PAIR = {"group": {"free_rank": 1, "torsion": []}, "collection": [[1], [1], [1]]}
@@ -564,10 +564,31 @@ def test_root_scan_past_the_cap_exits_3_at_once(cli):
         error = json.loads(out)["error"]
         assert error["type"] == "cap-exceeded"
         assert "(2*%s+1)^3" % bound in error["message"]
-        assert "cap of %d" % ROOTS_SCAN_CAP in error["message"]
+        assert "cap of %d" % SEARCH_CAP in error["message"]
     code, out, _ = cli(["fan", "roots", "--bound", "100"], stdin=json.dumps(p3))
     assert code == 3
     assert "(2*100+1)^3 = 8120601 covectors" in json.loads(out)["error"]["message"]
+
+
+def test_searches_past_the_cap_exit_3_at_once(cli, tmp_path, monkeypatch):
+    # 10! bijections and 2^19-1 shape members: each count is checked
+    # before the search starts, so both are refused at once
+    monkeypatch.chdir(tmp_path)
+
+    def ints(values):
+        return {"group": {"free_rank": 1, "torsion": []}, "collection": [[v] for v in values]}
+
+    (tmp_path / "other.json").write_text(json.dumps(ints(range(-1, -11, -1))), encoding="utf-8")
+    for argv, stdin, count in (
+        (["gale", "equivalent", "-j", "other.json"], ints(range(1, 11)), "10! = 3628800 bijections"),
+        (["classify", "semisimple"], ints([1] * 19), "(2^19-1) = 524287 members"),
+    ):
+        start = time.perf_counter()
+        code, out, _ = cli(argv, stdin=json.dumps(stdin))
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        message = json.loads(out)["error"]["message"]
+        assert message.endswith("of %s exceeds the cap of %d" % (count, SEARCH_CAP))
 
 
 def test_argv_errors_get_the_input_envelope(cli, tmp_path):
@@ -900,9 +921,11 @@ def test_golden_cli_corpus_is_byte_identical(cli, tmp_path, monkeypatch):
     # last of the outputs changed on purpose since (G-set commands on a
     # collection that does not generate its group, 2^64 through gale
     # linear and check suitable, both inputs of a two-input command
-    # named as stdin); re-record only on purpose
+    # named as stdin), and of two searches past the search cap; the gset
+    # enumerate record past the cap was re-recorded when one search cap
+    # replaced the per-search ones; re-record only on purpose
     corpus = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
-    assert len(corpus) == 110
+    assert len(corpus) == 112
     monkeypatch.chdir(tmp_path)
     for case in corpus:
         for name, text in case.get("files", {}).items():

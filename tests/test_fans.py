@@ -33,6 +33,7 @@ from galefan import (
     roots_in_box,
     validate_fan,
 )
+import galefan.errors as errors_module
 import galefan.fans as fans_module
 import galefan.linalg as linalg_module
 from galefan.linalg import dot
@@ -306,7 +307,7 @@ def test_roots_in_box():
 
 def test_roots_in_box_scan_cap(monkeypatch):
     # the box of bound b in rank n holds (2b+1)^n covectors
-    monkeypatch.setattr(fans_module, "ROOTS_SCAN_CAP", 25)
+    monkeypatch.setattr(errors_module, "SEARCH_CAP", 25)
     assert len(roots_in_box(affine_plane(), 2)) == 6
     with pytest.raises(CapExceededError, match=r"\(2\*3\+1\)\^2 = 49 covectors exceeds the cap of 25"):
         roots_in_box(affine_plane(), 3)

@@ -197,7 +197,7 @@ def test_pairs_equivalent_guards():
     with pytest.raises(NotGeneratingError):
         pairs_equivalent(ints(2, 4), ints(2, 6))
     with pytest.raises(CapExceededError):
-        pairs_equivalent(ints(*range(1, 10)), ints(*range(1, 10)))
+        pairs_equivalent(ints(*range(1, 11)), ints(*range(1, 11)))
 
 
 def test_pairs_equivalent_under_automorphisms():

@@ -86,3 +86,26 @@ def test_no_module_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_one_search_cap():
+    # every exponential search checks its count against errors.SEARCH_CAP
+    # through errors.check_search; only branch and bound counts its nodes
+    trees = _trees()
+    caps = sorted(
+        f"{name}.{target.id}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.endswith("_CAP")
+    )
+    assert caps == ["errors.SEARCH_CAP", "linalg._ILP_NODE_CAP"]
+    raisers = set()
+    for name, tree in trees.items():
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Raise) and "CapExceededError" in ast.unparse(node):
+                        raisers.add(f"{name}.{func.name}")
+    assert {r for r in raisers if not r.startswith("linalg.")} == {"errors.check_search"}

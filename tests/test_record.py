@@ -224,6 +224,20 @@ def test_constructors_refuse_non_integers():
             root_connecting(fan, [bad], [])
     with pytest.raises(TypeError):
         semigroup_membership(z.element((1.5,)), (z.element((1,)),))
+    # so do the size fields: a rank of 2.0 would build, and print as 2.0
+    for bad in (2.0, Fraction(2), "2"):
+        with pytest.raises(TypeError):
+            VectorConfiguration(bad, ((1, 0), (0, 1)))
+        with pytest.raises(TypeError):
+            AbelianGroup(bad)
+        with pytest.raises(TypeError):
+            LinearSystem(bad)
+        with pytest.raises(TypeError):
+            DemazureRoot((bad, 0), 0)
+        with pytest.raises(TypeError):
+            DemazureRoot((1, 0), bad)
+    assert type(AbelianGroup(True).free_rank) is int
+    assert DemazureRoot([True, 0], True) == DemazureRoot((1, 0), 1)
     assert IntMatrix([[True, 2]]).entries == ((1, 2),)
     assert type(IntMatrix([[True, 2]]).entries[0][0]) is int
     assert z.element((True,)).free == (1,)
