@@ -12,7 +12,7 @@ exactly from the collection and its Gale dual.
 from __future__ import annotations
 
 from itertools import chain, combinations, product
-from math import prod
+from math import gcd, prod
 from typing import Optional
 
 from ._record import Record
@@ -295,14 +295,19 @@ def _finest_product_partition(
     ``relations``, a basis of the relation lattice, suffices.  Closed
     sets are closed under complement and intersection, so the finest
     split is unique: the part of i is the intersection of all closed
-    sets containing i.  Only unions of classes are scanned: equal
-    nonzero values share every closed set (their difference is a
-    relation), and a zero element is closed on its own, so it is a
-    class by itself.
+    sets containing i.  Only unions of classes are scanned, so each
+    class has one atom.  When a_i and a_j have parallel nonzero free
+    parts, p*a_i - q*a_j is torsion of some order n, and a set holding i
+    but not j cuts the relation n*p*e_i - n*q*e_j to n*p*a_i, not zero.
+    So a class is a primitive free part up to sign, a torsion value
+    (equal values differ by a relation) or one zero element.
     """
-    r = len(coll)
-    classes = [sum(1 << i for i in g) for g in _value_index_groups(coll) if not coll[g[0]].is_zero]
-    classes += [1 << i for i in range(r) if coll[i].is_zero]
+    r, lines = len(coll), {}
+    for i, e in enumerate(coll):
+        g = gcd(*e.free)
+        line = max(tuple(c // g for c in e.free), tuple(-c // g for c in e.free)) if g else e
+        lines.setdefault(i if e.is_zero else line, []).append(i)
+    classes = [sum(1 << i for i in g) for g in lines.values()]
 
     def part_closed(mask: int) -> bool:
         part = [i for i in range(r) if mask >> i & 1]
@@ -312,13 +317,11 @@ def _finest_product_partition(
         )
 
     check_search("product split scan of %s unions", "2^%d-2" % len(classes), (1 << len(classes)) - 2)
-    atoms = [(1 << r) - 1] * r
+    atoms = [(1 << r) - 1] * len(classes)
     for pick in range(1, (1 << len(classes)) - 1):
         mask = sum(m for k, m in enumerate(classes) if pick >> k & 1)
         if part_closed(mask):
-            for i in range(r):
-                if mask >> i & 1:
-                    atoms[i] &= mask
+            atoms = [atom & mask if pick >> k & 1 else atom for k, atom in enumerate(atoms)]
     parts = {tuple(i for i in range(r) if atom >> i & 1) for atom in atoms}
     return tuple(sorted(parts))
 
@@ -332,13 +335,14 @@ def _rank_one_type(coll: ElementCollection) -> tuple[Optional[int], Optional[boo
         return 1, None
     if 0 in vals:
         return 3, None
-    # both tests read only the set of chosen values: one index per value
+    # both tests read only the set D of distinct values: one index each.
+    # If s generates Z but misses some value, the missed u of least |u| is
+    # missed by D - {u} too, which holds s: a sum for u uses only smaller
+    # values, all made by s.  So only the co-singletons D - {v} are tested
     firsts = [g[0] for g in _value_index_groups(coll)]
-    check_search("rank-one locus scan of %s subsets", "2^%d-1" % len(firsts), (1 << len(firsts)) - 1)
     locus = not any(
         generates_group(coll, s) and not generates_full_semigroup(coll, s)
-        for k in range(1, len(firsts) + 1)
-        for s in combinations(firsts, k)
+        for s in ([j for j in firsts if j != i] for i in firsts)
     )
     return 2, locus
 

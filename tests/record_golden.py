@@ -33,7 +33,10 @@ command whose second input names standard input while the first reads
 it (the ``input`` envelope), and then two searches past the search cap
 that must be refused at once (exit 3): ``gale equivalent`` on Z
 (1,...,10) against Z (-1,...,-10), 10! bijections, and ``classify
-semisimple`` on nineteen copies of 1, 2^19-1 members.  A record may name input files in
+semisimple`` on nineteen copies of 1, 2^19-1 members.  Last comes
+``classify pair`` on Z (1,1,2,4,...,20), whose regular locus and
+product split answer without a scan over subsets of its eleven
+distinct values.  A record may name input files in
 ``files`` (file name -> contents); they are written to the working
 directory before the command runs.  Run from the repository root
 with the tree to record on the path:
@@ -203,6 +206,8 @@ PAST_THE_CAP = [
     ("past the cap: Z (1^19)", ["classify", "semisimple"], _ints(*[1] * 19), None),
 ]
 
+MANY_VALUES = ("eleven distinct values: Z (1,1,2,4,...,20)", _ints(1, 1, *range(2, 21, 2)))
+
 
 OVERLAPPING_FAN = {
     "config": {"rank": 2, "vectors": [[1, 0], [0, 1], [-1, -1], [1, 1]]},
@@ -297,6 +302,8 @@ def record() -> list[dict]:
     for name, argv, left, right in PAST_THE_CAP:
         other = right and {"other.json": json.dumps(encode_pair(right))}
         add(name, argv, json.dumps(encode_pair(left)), other)
+    name, coll = MANY_VALUES
+    add(name, ["classify", "pair"], json.dumps(encode_pair(coll)))
     return cases
 
 

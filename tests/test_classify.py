@@ -48,10 +48,15 @@ from oracles import positively_spans_by_signed_units, relations_of, shape_member
 Z = AbelianGroup(1, ())
 TRIV = AbelianGroup(0, ())
 Z3 = AbelianGroup(0, (3,))
+ZZ = AbelianGroup(2, ())
 
 
 def ints(*vals):
     return ElementCollection(Z, tuple(Z.element((v,)) for v in vals))
+
+
+def ints2(*vals):
+    return ElementCollection(ZZ, tuple(ZZ.element(v) for v in vals))
 
 
 def cyc3(*vals):
@@ -384,12 +389,8 @@ SEARCHES = {
         "shape G-set of (2^2-1)*(2^2-1) = 9 members exceeds the cap of 3",
     ),
     "product split": (
-        lambda fan, gset: _finest_product_partition(ints(1, 2, 3), ((1, 1, -1), (2, -1, 0))),
+        lambda fan, gset: _finest_product_partition(ints2((1, 0), (0, 1), (1, 1)), ((1, 1, -1),)),
         "product split scan of 2^3-2 = 6 unions exceeds the cap of 3",
-    ),
-    "rank-one locus": (
-        lambda fan, gset: _rank_one_type(ints(1, 2, 3)),
-        "rank-one locus scan of 2^3-1 = 7 subsets exceeds the cap of 3",
     ),
 }
 
@@ -553,16 +554,35 @@ def brute_regular_locus(coll):
 
 
 def test_rank_one_locus_matches_the_full_index_scan():
-    # the locus scans one index per distinct value; repeats are frequent here
+    # the locus asks about the co-singletons of the distinct values: up to
+    # 7 of 1..15 here, of either sign, with repeats
     rng = random.Random(8)
     seen = set()
     for _ in range(60):
         sign = rng.choice((1, -1))
-        coll = ints(*[sign * rng.randint(1, 5) for _ in range(rng.randint(1, 8))])
+        values = rng.sample(range(1, 16), rng.randint(1, 7))
+        values += [rng.choice(values) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(values)
+        coll = ints(*[sign * v for v in values])
         kind, locus = _rank_one_type(coll)
         assert kind == 2 and locus == brute_regular_locus(coll)
-        seen.add(locus)
-    assert seen == {True, False}
+        seen.add((sign, locus))
+    assert seen == {(s, a) for s in (1, -1) for a in (True, False)}
+
+
+def test_rank_one_locus_asks_at_most_one_semigroup_question_per_value(monkeypatch):
+    # Z (1,1,2,4,6,8) has d = 5 distinct values; every subset holding 1
+    # generates both the group and the semigroup
+    asked = []
+    real = galefan.groups.semigroup_membership
+
+    def counted(target, gens):
+        asked.append(target)
+        return real(target, gens)
+
+    monkeypatch.setattr(galefan.groups, "semigroup_membership", counted)
+    assert _rank_one_type(ints(1, 1, 2, 4, 6, 8)) == (2, True)
+    assert 0 < len(asked) <= 5
 
 
 def test_classify_product_parts():
@@ -631,15 +651,22 @@ def brute_finest_partition(coll):
 
 def test_product_partition_matches_brute_force():
     rng = random.Random(2024)
-    chains = [(), (2,), (3,), (6,), (2, 2), (2, 4)]
+    chains = [(), (2,), (3,), (4,), (6,), (2, 2), (2, 4)]
     split = 0
     for _ in range(150):
-        group = AbelianGroup(rng.randint(0, 2), rng.choice(chains))
-        coll = random_collection(rng, group, rng.randint(1, 6), height=rng.choice((1, 2)))
+        group = AbelianGroup(rng.randint(0, 3), rng.choice(chains))
+        coll = random_collection(rng, group, rng.randint(1, 6), height=rng.choice((1, 2, 3)))
         got = _finest_product_partition(coll, relations_of(coll))
         assert got == brute_finest_partition(coll)
         split += len(got) > 1
     assert split > 20
+
+
+def test_product_split_of_many_values_on_one_line_scans_nothing():
+    # nineteen distinct values of Z are one class: their 2^19-2 unions
+    # would pass the cap, and no union is scanned
+    coll = ints(*range(1, 20))
+    assert _finest_product_partition(coll, relations_of(coll)) == (tuple(range(19)),)
 
 
 def test_classify_rejects_non_admissible():

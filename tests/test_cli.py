@@ -923,9 +923,11 @@ def test_golden_cli_corpus_is_byte_identical(cli, tmp_path, monkeypatch):
     # linear and check suitable, both inputs of a two-input command
     # named as stdin), and of two searches past the search cap; the gset
     # enumerate record past the cap was re-recorded when one search cap
-    # replaced the per-search ones; re-record only on purpose
+    # replaced the per-search ones; the last record, classify pair on
+    # Z (1,1,2,4,...,20), pins a pair with many distinct values; re-record
+    # only on purpose
     corpus = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
-    assert len(corpus) == 112
+    assert len(corpus) == 113
     monkeypatch.chdir(tmp_path)
     for case in corpus:
         for name, text in case.get("files", {}).items():

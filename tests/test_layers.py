@@ -109,3 +109,21 @@ def test_one_search_cap():
                     if isinstance(node, ast.Raise) and "CapExceededError" in ast.unparse(node):
                         raisers.add(f"{name}.{func.name}")
     assert {r for r in raisers if not r.startswith("linalg.")} == {"errors.check_search"}
+    # the guarded searches, one message template each: adding or dropping
+    # one is an edit here
+    templates = {
+        node.args[0].value
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "check_search"
+    }
+    assert templates == {
+        "root scan of %s covectors",
+        "root zero-set search of %s zero sets",
+        "pair bijection search of %s bijections",
+        "G-set subset scan of %s subsets",
+        "G-set family scan of %s families",
+        "(C3) link search of %s (target, support) pairs",
+        "shape G-set of %s members",
+        "product split scan of %s unions",
+    }
