@@ -13,6 +13,8 @@ code is generated or compiled per class at import time.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 _set = object.__setattr__
 
 
@@ -25,6 +27,11 @@ class Record:
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
         cls._post_init = hasattr(cls, "__post_init__")
+        names = cls._fields
+        if len(names) > 1:  # reads the fields back after __post_init__; one name gives no tuple
+            cls._reread = attrgetter(*names)
+        else:
+            cls._reread = staticmethod(lambda r: tuple(getattr(r, n) for n in names))
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -34,7 +41,7 @@ class Record:
             _set(self, name, value)
         if self._post_init:
             self.__post_init__()
-            args = tuple(getattr(self, name) for name in fields)
+            args = self._reread(self)
         _set(self, "_key", args)
 
     def _complete(self, args: tuple, kwargs: dict) -> tuple:

@@ -63,13 +63,13 @@ class VectorConfiguration(Record):
     vectors: tuple[Vector, ...]
 
     def __post_init__(self):
-        vecs = tuple(tuple(map(index, v)) for v in self.vectors)
+        vecs = tuple([tuple(map(index, v)) for v in self.vectors])
         object.__setattr__(self, "rank", index(self.rank))
         object.__setattr__(self, "vectors", vecs)
         for v in vecs:
             if len(v) != self.rank:
                 raise ValueError("vector length does not match rank")
-            if all(c == 0 for c in v):
+            if not any(v):
                 raise DegenerateConfigurationError("configuration contains a zero vector")
         if matrix_rank(IntMatrix(vecs, self.rank)) < self.rank:
             raise DegenerateConfigurationError("vectors do not span the ambient space")
@@ -311,7 +311,7 @@ def is_suitable(config: VectorConfiguration) -> SuitabilityResult:
     and non-negatively with all the others."""
     witnesses = []
     for i in config.indices:
-        others = tuple(j for j in config.indices if j != i)
+        others = tuple([j for j in config.indices if j != i])
         w = _covector_for_pattern(config.vectors, i, (), others, 0)
         if w is None:
             return SuitabilityResult(False, None, i)

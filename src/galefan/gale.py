@@ -40,8 +40,9 @@ def lattice_gale_transform(config: VectorConfiguration) -> tuple[AbelianGroup, E
     """
     cok = group_from_cokernel(IntMatrix(config.vectors, config.rank))
     group, f = cok.group, cok.group.free_rank
-    cols = (cok.projection.col(i) for i in config.indices)
-    return group, ElementCollection(group, tuple(group.element(c[:f], c[f:]) for c in cols))
+    # element i is column i of the projection, which has no rows for a trivial group
+    cols = zip(*cok.projection.entries) if cok.projection.rows else [()] * len(config)
+    return group, ElementCollection(group, tuple([group.element(c[:f], c[f:]) for c in cols]))
 
 
 def inverse_gale_transform(coll: ElementCollection) -> VectorConfiguration:

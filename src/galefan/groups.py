@@ -11,7 +11,7 @@ integer feasibility problem with non-negative coefficients.
 from __future__ import annotations
 
 from math import isqrt
-from operator import index
+from operator import index, mod
 from typing import Iterable, Optional, Sequence
 
 from ._record import Record
@@ -21,6 +21,7 @@ from .linalg import (
     LinearSystem,
     Vector,
     _covector_for_pattern,
+    _identity,
     _smith,
     dot,
     ilp_feasible,
@@ -59,8 +60,7 @@ class AbelianGroup(Record):
         tors = tuple(map(index, torsion))
         if len(free) != self.free_rank or len(tors) != len(self.torsion):
             raise ValueError("coordinate count does not match the group")
-        tors = tuple(c % d for c, d in zip(tors, self.torsion))
-        return GroupElement(self, free, tors)
+        return GroupElement(self, free, tuple(map(mod, tors, self.torsion)))
 
     def zero(self) -> "GroupElement":
         return self.element((0,) * self.free_rank, (0,) * len(self.torsion))
@@ -74,7 +74,7 @@ class AbelianGroup(Record):
         """
         total = [0] * self.coords
         for c, e in zip(coeffs, elements, strict=True):
-            if e.group != self:
+            if e.group is not self and e.group != self:
                 raise ValueError("element belongs to a different group")
             total = [t + c * x for t, x in zip(total, e.lift())]
         return self.element(total[: self.free_rank], total[self.free_rank :])
@@ -101,7 +101,7 @@ class GroupElement(Record):
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.free) and all(c == 0 for c in self.torsion)
+        return not any(self.free) and not any(self.torsion)
 
     def _require_same_group(self, other: "GroupElement") -> None:
         if self.group != other.group:
@@ -135,7 +135,7 @@ class ElementCollection(Record):
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
         for e in self.elements:
-            if e.group != self.group:
+            if e.group is not self.group and e.group != self.group:
                 raise ValueError("collection mixes elements of different groups")
 
     def __len__(self) -> int:
@@ -148,7 +148,7 @@ class ElementCollection(Record):
         return iter(self.elements)
 
     def take(self, indices: Iterable[int]) -> tuple[GroupElement, ...]:
-        return tuple(self.elements[i] for i in indices)
+        return tuple([self.elements[i] for i in indices])
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -179,11 +179,11 @@ def group_from_cokernel(a: IntMatrix) -> CokernelMap:
     >>> (cok.group.free_rank, cok.group.torsion)
     (0, (2,))
     """
-    u, diag, _ = _smith(a.entries, a.cols)
+    rows, diag, _ = _smith([[*r, *e] for r, e in zip(a.entries, _identity(a.rows))], a.cols)
     torsion_rows = [i for i, d in enumerate(diag) if d >= 2]
     group = AbelianGroup(a.rows - len(diag), tuple(diag[i] for i in torsion_rows))
-    proj = IntMatrix([u[i] for i in [*range(len(diag), a.rows), *torsion_rows]], a.rows)
-    return CokernelMap(group, proj)
+    proj = [rows[i][a.cols :] for i in [*range(len(diag), a.rows), *torsion_rows]]  # rows of U
+    return CokernelMap(group, IntMatrix(proj, a.rows))
 
 
 def _relation_columns(group: AbelianGroup) -> list[Vector]:
@@ -196,7 +196,7 @@ def _lifted_rows(gens: Sequence[GroupElement], group: AbelianGroup) -> list[Vect
     if any(g.group != group for g in gens):
         raise ValueError("generators belong to a different group")
     cols = [g.lift() for g in gens] + _relation_columns(group)
-    return [tuple(c[i] for c in cols) for i in range(group.coords)]
+    return list(zip(*cols)) if cols else [()] * group.coords
 
 
 def _lifted_matrix(gens: Sequence[GroupElement], group: AbelianGroup) -> IntMatrix:
@@ -233,18 +233,19 @@ def _relation_basis(coll: ElementCollection) -> Optional[tuple[Vector, ...]]:
     kernel = _generating_kernel(coll.elements, coll.group)
     if kernel is None:
         return None
-    r = len(coll)
-    basis = [col[:r] for col in kernel]
+    basis = [col[: len(coll)] for col in kernel]
+    norms = [dot(b, b) for b in basis]
     changed = True
     while changed:
         changed = False
-        for b in basis:
-            for c in basis:
-                cc = sum(x * x for x in c)
-                bc = sum(x * y for x, y in zip(b, c))
-                if b is not c and 2 * abs(bc) > cc:
+        for i, b in enumerate(basis):
+            for j, c in enumerate(basis):
+                cc = norms[j]
+                bc = dot(b, c)
+                if i != j and 2 * abs(bc) > cc:
                     q = (2 * bc + cc) // (2 * cc)  # the integer nearest bc / cc
                     b[:] = [x - q * y for x, y in zip(b, c)]
+                    norms[i] = dot(b, b)
                     changed = True
     return tuple(tuple(b) for b in basis)
 
@@ -395,7 +396,7 @@ def _in_semigroup_outside(
     values, whose lifted system is smaller when values repeat.
     """
     inside = set(cone)
-    outside = tuple(i for i in coll.indices if i not in inside)
+    outside = tuple([i for i in coll.indices if i not in inside])
     target, values = coll[k], coll.take(outside)
     if target.is_zero or target in values:
         return True
@@ -407,7 +408,7 @@ def _in_semigroup_outside(
     u = _covector_for_pattern(dual, k, zeros, outside, 0)
     if u is None:
         return False
-    if coll.group.combination((dot(dual[j], u) for j in outside), values) != target:
+    if coll.group.combination([dot(dual[j], u) for j in outside], values) != target:
         raise InternalError("dual membership certificate does not sum to the target")
     return True
 
@@ -442,7 +443,7 @@ def _admissibility(
     # relations: _relation_basis(coll), None when coll does not generate
     if relations is None:
         return AdmissibilityResult(False, False, None)
-    dual = tuple(tuple(rel[i] for rel in relations) for i in coll.indices)
+    dual = tuple(zip(*relations)) if relations else ((),) * len(coll)
     for i in coll.indices:
         if not _in_semigroup_outside(coll, i, (i,), dual):
             return AdmissibilityResult(False, True, i)

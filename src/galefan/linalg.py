@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import index
+from operator import index, mod, mul
 from typing import Optional, Sequence
 
 from ._record import Record
@@ -23,7 +23,7 @@ Vector = tuple[int, ...]
 
 
 def dot(v: Sequence[int], w: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(v, w))
+    return sum(map(mul, v, w))
 
 
 class IntMatrix(Record):
@@ -33,7 +33,7 @@ class IntMatrix(Record):
     cols: Optional[int] = None
 
     def __post_init__(self):
-        rows = tuple(tuple(map(index, row)) for row in self.entries)
+        rows = tuple([tuple(map(index, row)) for row in self.entries])
         cols = self.cols
         if rows:
             width = len(rows[0])
@@ -72,7 +72,7 @@ class IntMatrix(Record):
     def apply(self, vec: Sequence[int]) -> Vector:
         if len(vec) != self.cols:
             raise ValueError("shape mismatch")
-        return tuple(sum(a * b for a, b in zip(r, vec)) for r in self.entries)
+        return tuple([sum(map(mul, r, vec)) for r in self.entries])
 
 
 class SnfResult(Record):
@@ -100,29 +100,35 @@ class SnfResult(Record):
         return tuple(e for e in self.diagonal if e != 0)
 
 
-def _smith(rows: Sequence[Sequence[int]], n: int) -> tuple[list, list[int], list]:
-    """Smith decomposition U*A*V = D of the matrix with these rows and n
-    columns, on plain lists: the rows of U, the nonzero diagonal of D
-    (its first rank entries; the rest of D is zero) and the columns of V.
+def _identity(n: int) -> list[list[int]]:
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
-    Pivots are chosen as the lexicographically smallest eligible
-    position, so the output is the same on every run and platform.
+
+def _smith(rows: Sequence[Sequence[int]], n: int) -> tuple[list, list[int], list]:
+    """Smith decomposition U*A*V = D of the first n columns A of these
+    rows, on plain lists: the rows after elimination, the nonzero diagonal
+    of D (its first rank entries; the rest of D is zero) and the columns
+    of V.  Entries past column n never pivot and ride along every row
+    operation, so rows [A | I] come back as [D | U] and [A | b] as
+    [D | U*b]; plain rows A form no U at all.  Pivots are chosen as the
+    lexicographically smallest eligible position, so the output is the
+    same on every run and platform.
     """
     m = len(rows)
     d = [list(r) for r in rows]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]  # columns
+    v = _identity(n)  # columns
     k = 0
     while k < min(m, n):
-        pivot = next(((i, j) for i in range(k, m) for j in range(k, n) if d[i][j]), None)
-        if pivot is None:
-            break
-        i, j = pivot
-        d[k], d[i], u[k], u[i] = d[i], d[k], u[i], u[k]
-        if j != k:
-            for row in d:
-                row[k], row[j] = row[j], row[k]
-            v[k], v[j] = v[j], v[k]
+        if not d[k][k]:  # else (k, k) is the smallest eligible position
+            pivot = next(((i, j) for i in range(k, m) for j in range(k, n) if d[i][j]), None)
+            if pivot is None:
+                break
+            i, j = pivot
+            d[k], d[i] = d[i], d[k]
+            if j != k:
+                for row in d:
+                    row[k], row[j] = row[j], row[k]
+                v[k], v[j] = v[j], v[k]
         while True:
             clean = True
             for i in range(m):
@@ -130,9 +136,8 @@ def _smith(rows: Sequence[Sequence[int]], n: int) -> tuple[list, list[int], list
                     continue
                 q = d[i][k] // d[k][k]
                 d[i] = [x - q * y for x, y in zip(d[i], d[k])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[k])]
                 if d[i][k] != 0:
-                    d[i], d[k], u[i], u[k] = d[k], d[i], u[k], u[i]
+                    d[i], d[k] = d[k], d[i]
                     clean = False
             if not clean:
                 continue
@@ -150,32 +155,31 @@ def _smith(rows: Sequence[Sequence[int]], n: int) -> tuple[list, list[int], list
                     clean = False
             if not clean:
                 continue
-            # pivot must divide the remaining block for the chain property
+            # pivot must divide the remaining block for the chain property (a unit does)
             p = d[k][k]
-            bad = next((i for i in range(k + 1, m) if any(x % p for x in d[i][k + 1:])), None)
+            if p in (1, -1):
+                break
+            bad = next((i for i in range(k + 1, m) if any(x % p for x in d[i][k + 1 : n])), None)
             if bad is None:
                 break
             d[k] = [x + y for x, y in zip(d[k], d[bad])]
-            u[k] = [x + y for x, y in zip(u[k], u[bad])]
         if d[k][k] < 0:
             d[k] = [-x for x in d[k]]
-            u[k] = [-x for x in u[k]]
         k += 1
-    return u, [d[i][i] for i in range(k)], v
+    return d, [d[i][i] for i in range(k)], v
 
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:
     """Compute the Smith normal form of an integer matrix.
 
-    The elimination is ``_smith``'s, so the output (including the
-    transforms) is the same on every run and platform.
+    The elimination is ``_smith``'s on the rows [A | I], which come back
+    as [D | U], so the output (including the transforms) is the same on
+    every run and platform.
     """
-    u, diag, v = _smith(a.entries, a.cols)
-    d = [[0] * a.cols for _ in range(a.rows)]
-    for i, x in enumerate(diag):
-        d[i][i] = x
-    v = IntMatrix.from_columns(v, rows=a.cols)
-    return SnfResult(IntMatrix(u, a.rows), IntMatrix(d, a.cols), v)
+    m, n = a.rows, a.cols
+    rows, _, v = _smith([[*r, *e] for r, e in zip(a.entries, _identity(m))], n)
+    u, d = IntMatrix([r[n:] for r in rows], m), IntMatrix([r[:n] for r in rows], n)
+    return SnfResult(u, d, IntMatrix.from_columns(v, rows=n))
 
 
 def row_hermite_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -184,11 +188,11 @@ def row_hermite_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     Returns (U, H) with U unimodular and H = U*A.  H is the unique
     echelon form over the integers with positive pivots and entries
     above each pivot reduced into [0, pivot).  Columns are scanned left
-    to right and are never permuted.
+    to right and are never permuted.  Like ``_smith``, the row
+    operations run on the rows [A | I], which come back as [H | U].
     """
     m, n = a.rows, a.cols
-    h = [list(r) for r in a.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    h = [[*r, *e] for r, e in zip(a.entries, _identity(m))]
     p = 0
     for j in range(n):
         if p == m:
@@ -200,28 +204,24 @@ def row_hermite_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             i0 = min(nz, key=lambda i: (abs(h[i][j]), i))
             if i0 != p:
                 h[p], h[i0] = h[i0], h[p]
-                u[p], u[i0] = u[i0], u[p]
             done = True
             for i in range(p + 1, m):
                 if h[i][j] == 0:
                     continue
                 q = h[i][j] // h[p][j]
                 h[i] = [x - q * y for x, y in zip(h[i], h[p])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[p])]
                 if h[i][j] != 0:
                     done = False
             if done:
                 break
         if h[p][j] < 0:
             h[p] = [-x for x in h[p]]
-            u[p] = [-x for x in u[p]]
         for i in range(p):
             q = h[i][j] // h[p][j]
             if q:
                 h[i] = [x - q * y for x, y in zip(h[i], h[p])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[p])]
         p += 1
-    return IntMatrix(u, m), IntMatrix(h, n)
+    return IntMatrix([r[n:] for r in h], m), IntMatrix([r[:n] for r in h], n)
 
 
 def integer_kernel(a: IntMatrix) -> tuple[Vector, ...]:
@@ -259,16 +259,16 @@ def solve_diophantine(a: IntMatrix, b: Sequence[int]) -> DiophantineSolution:
 
 
 def _solve(rows: Sequence[Vector], b: Sequence[int], n: int) -> tuple[Optional[list[int]], list]:
-    # A x = b for A with these rows and n columns: a particular solution
-    # (None if there is none) and the kernel basis of integer_kernel
-    u, diag, v = _smith(rows, n)
-    ub = [dot(row, b) for row in u]
+    """A x = b for A with these rows and n columns, off the Smith form of [A | b]: a
+    particular solution (None if there is none) and the kernel basis of integer_kernel."""
+    rows_ub, diag, v = _smith([[*row, c] for row, c in zip(rows, b)], n)
+    ub = [row[n] for row in rows_ub]
     kernel = v[len(diag):]
-    if any(ub[len(diag):]) or any(c % p for c, p in zip(ub, diag)):
+    if any(ub[len(diag):]) or any(map(mod, ub, diag)):
         return None, kernel
     y = [c // p for c, p in zip(ub, diag)]
-    x = [sum(t * col[i] for t, col in zip(y, v)) for i in range(n)]
-    if any(dot(row, x) != c for row, c in zip(rows, b)):
+    x = [dot(y, row) for row in zip(*v)]  # V y, over the rows of V
+    if [dot(row, x) for row in rows] != list(b):
         raise InternalError("Diophantine solution fails A x = b")
     return x, kernel
 
@@ -314,8 +314,8 @@ class LinearSystem(Record):
     inequalities: tuple[tuple[Vector, int], ...] = ()
 
     def __post_init__(self):
-        eqs = tuple((tuple(map(index, row)), index(rhs)) for row, rhs in self.equalities)
-        ins = tuple((tuple(map(index, row)), index(rhs)) for row, rhs in self.inequalities)
+        eqs = tuple([(tuple(map(index, row)), index(rhs)) for row, rhs in self.equalities])
+        ins = tuple([(tuple(map(index, row)), index(rhs)) for row, rhs in self.inequalities])
         object.__setattr__(self, "n_vars", index(self.n_vars))
         for row, _ in eqs + ins:
             if len(row) != self.n_vars:
@@ -439,11 +439,12 @@ def ilp_feasible(system: LinearSystem) -> tuple[bool, Optional[Vector]]:
     """Exact feasibility of a linear system over the integers.
 
     Equalities are eliminated through the Smith form, which also detects
-    lattice obstructions, and each remaining inequality is divided by
-    its row gcd.  When one unknown t is left, every row reads t >= b or
-    -t >= b, so the answer is the integer interval [max b, min -b]: no
-    LP is asked, and the witness is the point of the interval nearest
-    zero.  With more unknowns, rows forced tight are turned into
+    lattice obstructions: each elimination writes the unknowns as q + K t
+    for the solution q and kernel basis K of ``_solve``.  When one
+    unknown t is left, every row reads c t >= b, so the answer is an
+    integer interval: no LP is asked, and the witness is the point of
+    the interval nearest zero.  With more unknowns, each inequality is
+    divided by its row gcd, rows forced tight are turned into
     equalities, then the rest is searched by branch and bound over
     exact LP relaxations inside an a-priori solution box.  Raises
     CapExceededError if the node budget runs out; some systems with 3
@@ -453,36 +454,36 @@ def ilp_feasible(system: LinearSystem) -> tuple[bool, Optional[Vector]]:
     once: strong regularity meets one root pattern from many cones, and
     fan set-up asks a repeated summand's membership questions again.
     """
-    n = system.n_vars
-    offset: Vector = (0,) * n
-    basis: list[Vector] = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    eqs = [(row, rhs) for row, rhs in system.equalities]
-    ineqs = [(row, rhs) for row, rhs in system.inequalities]
+    k, eqs, ineqs = system.n_vars, system.equalities, system.inequalities
+    stages: list[tuple[list[int], list]] = []  # the (q, K) of each elimination
 
     def to_x(t: Sequence[int]) -> Vector:
-        return tuple(o + sum(bc[i] * tt for bc, tt in zip(basis, t)) for i, o in enumerate(offset))
+        for q, kernel in reversed(stages):
+            t = [o + sum(c[i] * tt for c, tt in zip(kernel, t)) for i, o in enumerate(q)]
+        return tuple(t)
 
     while True:
         if eqs:
-            q, kernel = _solve([row for row, _ in eqs], [rhs for _, rhs in eqs], len(basis))
+            q, kernel = _solve([row for row, _ in eqs], [rhs for _, rhs in eqs], k)
             if q is None:
                 return False, None
-            new_offset = tuple(
-                o + sum(bc[i] * qq for bc, qq in zip(basis, q)) for i, o in enumerate(offset)
-            )
-            new_basis = [
-                tuple(sum(bc[i] * kv for bc, kv in zip(basis, kvec)) for i in range(n))
-                for kvec in kernel
+            stages.append((q, kernel))
+            ineqs = [
+                (tuple([dot(row, col) for col in kernel]), rhs - dot(row, q)) for row, rhs in ineqs
             ]
-            new_ineqs = []
-            for row, rhs in ineqs:
-                shift = sum(c * qq for c, qq in zip(row, q))
-                new_row = tuple(sum(c * kv for c, kv in zip(row, kvec)) for kvec in kernel)
-                new_ineqs.append((new_row, rhs - shift))
-            offset, basis, ineqs, eqs = new_offset, new_basis, new_ineqs, []
+            k, eqs = len(kernel), ()
             continue
 
-        k = len(basis)
+        if k == 1:
+            # each row c t >= b bounds t by b / c, rounded inward, unless c = 0
+            lows = [_ceil_div(rhs, c) for (c,), rhs in ineqs if c > 0]
+            t = min([max([0] + lows)] + [rhs // c for (c,), rhs in ineqs if c < 0])
+            if lows and t < max(lows) or any(rhs > 0 for (c,), rhs in ineqs if not c):
+                return False, None
+            x = to_x((t,))
+            _check_witness(system, x)
+            return True, x
+
         cleaned = []
         for row, rhs in ineqs:
             g = gcd(*row)
@@ -490,19 +491,10 @@ def ilp_feasible(system: LinearSystem) -> tuple[bool, Optional[Vector]]:
                 if rhs > 0:
                     return False, None
                 continue
-            cleaned.append((tuple(c // g for c in row), _ceil_div(rhs, g)))
+            cleaned.append((tuple([c // g for c in row]), _ceil_div(rhs, g)))
         ineqs = cleaned
         if not ineqs:
             return True, to_x((0,) * k)
-        if k == 1:
-            # after the gcd division every row reads t >= b or -t >= b
-            lows = [rhs for (c,), rhs in ineqs if c > 0]
-            t = min([max([0] + lows)] + [-rhs for (c,), rhs in ineqs if c < 0])
-            if lows and t < max(lows):
-                return False, None
-            x = to_x((t,))
-            _check_witness(system, x)
-            return True, x
 
         base = LinearSystem(k, (), tuple(ineqs))
         ok, _ = lp_feasible(base)
@@ -522,7 +514,6 @@ def ilp_feasible(system: LinearSystem) -> tuple[bool, Optional[Vector]]:
         row, rhs = ineqs.pop(tightened)
         eqs = [(row, rhs)]
 
-    k = len(basis)
     box = _apriori_box([row for row, _ in ineqs], [rhs for _, rhs in ineqs])
     lows = [-box] * k
     highs = [box] * k
@@ -593,10 +584,10 @@ def _shrink_toward_zero(ineqs: list[tuple[Vector, int]], t: list[int]) -> Vector
 def _check_witness(system: LinearSystem, x: Sequence) -> None:
     # exact re-check of an LP or ILP witness (ints or Fractions)
     for row, rhs in system.equalities:
-        if sum(c * v for c, v in zip(row, x)) != rhs:
+        if dot(row, x) != rhs:
             raise InternalError("witness violates an equality")
     for row, rhs in system.inequalities:
-        if sum(c * v for c, v in zip(row, x)) < rhs:
+        if dot(row, x) < rhs:
             raise InternalError("witness violates an inequality")
 
 
@@ -614,9 +605,7 @@ def _covector_for_pattern(
     for semigroup membership read through the Gale dual.  A pattern met
     again builds an equal system, which ``ilp_feasible``'s memo answers.
     """
-    eqs = [(vectors[rho], -1)]
-    eqs += [(vectors[k], 0) for k in zeros]
-    ins = tuple((vectors[j], low) for j in others)
-    n = len(vectors[rho])
-    ok, e = ilp_feasible(LinearSystem(n, tuple(eqs), ins))
+    eqs = ((vectors[rho], -1), *[(vectors[k], 0) for k in zeros])
+    ins = tuple([(vectors[j], low) for j in others])
+    ok, e = ilp_feasible(LinearSystem(len(vectors[rho]), eqs, ins))
     return e if ok else None

@@ -3,6 +3,7 @@
 None of these is used by the package itself.  They favour the obvious
 computation over speed: determinants by the Leibniz formula, minors by
 brute force, rank over Fractions, matrix products by the definition,
+the Smith elimination with its row transform kept apart,
 cone separation decided on the Gale side instead of the primal side,
 positive spanning by one LP per signed unit vector, shape members by
 filtering every index subset, pair equivalence by trying every index
@@ -81,6 +82,65 @@ def fraction_rank(a: IntMatrix) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def smith_with_separate_transforms(rows, n) -> tuple[list, list[int], list]:
+    """The Smith elimination as it was before appended columns: U kept
+    as its own list of rows beside D.  Returns the rows of U, the nonzero
+    diagonal and the columns of V, with ``_smith``'s pivot order."""
+    m = len(rows)
+    d = [list(r) for r in rows]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]  # columns
+    k = 0
+    while k < min(m, n):
+        pivot = next(((i, j) for i in range(k, m) for j in range(k, n) if d[i][j]), None)
+        if pivot is None:
+            break
+        i, j = pivot
+        d[k], d[i], u[k], u[i] = d[i], d[k], u[i], u[k]
+        if j != k:
+            for row in d:
+                row[k], row[j] = row[j], row[k]
+            v[k], v[j] = v[j], v[k]
+        while True:
+            clean = True
+            for i in range(m):
+                if i == k or d[i][k] == 0:
+                    continue
+                q = d[i][k] // d[k][k]
+                d[i] = [x - q * y for x, y in zip(d[i], d[k])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+                if d[i][k] != 0:
+                    d[i], d[k], u[i], u[k] = d[k], d[i], u[k], u[i]
+                    clean = False
+            if not clean:
+                continue
+            for j in range(n):
+                if j == k or d[k][j] == 0:
+                    continue
+                q = d[k][j] // d[k][k]
+                for row in d:
+                    row[j] -= q * row[k]
+                v[j] = [x - q * y for x, y in zip(v[j], v[k])]
+                if d[k][j] != 0:
+                    for row in d:
+                        row[k], row[j] = row[j], row[k]
+                    v[k], v[j] = v[j], v[k]
+                    clean = False
+            if not clean:
+                continue
+            p = d[k][k]
+            bad = next((i for i in range(k + 1, m) if any(x % p for x in d[i][k + 1:])), None)
+            if bad is None:
+                break
+            d[k] = [x + y for x, y in zip(d[k], d[bad])]
+            u[k] = [x + y for x, y in zip(u[k], u[bad])]
+        if d[k][k] < 0:
+            d[k] = [-x for x in d[k]]
+            u[k] = [-x for x in u[k]]
+        k += 1
+    return u, [d[i][i] for i in range(k)], v
 
 
 def max_minor_bound(a: IntMatrix, b: Sequence[int]) -> int:

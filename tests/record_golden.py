@@ -33,10 +33,12 @@ command whose second input names standard input while the first reads
 it (the ``input`` envelope), and then two searches past the search cap
 that must be refused at once (exit 3): ``gale equivalent`` on Z
 (1,...,10) against Z (-1,...,-10), 10! bijections, and ``classify
-semisimple`` on nineteen copies of 1, 2^19-1 members.  Last comes
+semisimple`` on nineteen copies of 1, 2^19-1 members.  Then comes
 ``classify pair`` on Z (1,1,2,4,...,20), whose regular locus and
 product split answer without a scan over subsets of its eleven
-distinct values.  A record may name input files in
+distinct values.  Last, ``check suitable`` and ``gale transform`` run
+on seven seeded configurations of rank 2 and 3, suitable and not, with
+and without torsion in the dual.  A record may name input files in
 ``files`` (file name -> contents); they are written to the working
 directory before the command runs.  Run from the repository root
 with the tree to record on the path:
@@ -208,6 +210,20 @@ PAST_THE_CAP = [
 
 MANY_VALUES = ("eleven distinct values: Z (1,1,2,4,...,20)", _ints(1, 1, *range(2, 21, 2)))
 
+# the first configuration of each kind among perfbench's decide items
+# for seed 25 (r > rank); none there is suitable of rank 2 with torsion
+SEEDED_CONFIGS = {
+    "rank 2, not suitable, dual with torsion": ((-1, 3), (1, 1), (-1, 1)),
+    "rank 2, not suitable, torsion-free dual": ((0, 1), (-1, -2), (1, 0), (1, 2)),
+    "rank 2, suitable, torsion-free dual": ((4, 1), (1, 0), (-1, 0), (-4, -1)),
+    "rank 3, not suitable, torsion-free dual": ((-1, 2, -1), (0, 1, 1), (2, 0, 1), (-2, 0, 1)),
+    "rank 3, suitable, dual with torsion": ((0, 1, -2), (-1, -1, 0), (0, 2, 1), (1, 1, 0)),
+    "rank 3, not suitable, dual with torsion": ((1, 1, -1), (-1, -1, 2), (2, -1, 0), (-1, -1, 2)),
+    "rank 3, suitable, torsion-free dual": (
+        (0, -1, 1), (-1, 1, -1), (-1, -1, -2), (-1, 1, 0), (0, -1, 0),
+    ),
+}
+
 
 OVERLAPPING_FAN = {
     "config": {"rank": 2, "vectors": [[1, 0], [0, 1], [-1, -1], [1, 1]]},
@@ -304,6 +320,10 @@ def record() -> list[dict]:
         add(name, argv, json.dumps(encode_pair(left)), other)
     name, coll = MANY_VALUES
     add(name, ["classify", "pair"], json.dumps(encode_pair(coll)))
+    for name, vectors in SEEDED_CONFIGS.items():
+        config = json.dumps({"rank": len(vectors[0]), "vectors": [list(v) for v in vectors]})
+        add(name, ["check", "suitable"], config)
+        add(name, ["gale", "transform"], config)
     return cases
 
 

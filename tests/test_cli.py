@@ -924,10 +924,11 @@ def test_golden_cli_corpus_is_byte_identical(cli, tmp_path, monkeypatch):
     # named as stdin), and of two searches past the search cap; the gset
     # enumerate record past the cap was re-recorded when one search cap
     # replaced the per-search ones; the last record, classify pair on
-    # Z (1,1,2,4,...,20), pins a pair with many distinct values; re-record
-    # only on purpose
+    # Z (1,1,2,4,...,20), pins a pair with many distinct values, and the
+    # check suitable and gale transform records after it pin seeded
+    # configurations of rank 2 and 3; re-record only on purpose
     corpus = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
-    assert len(corpus) == 113
+    assert len(corpus) == 127
     monkeypatch.chdir(tmp_path)
     for case in corpus:
         for name, text in case.get("files", {}).items():

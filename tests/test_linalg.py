@@ -18,7 +18,14 @@ from galefan import (
 
 import galefan.linalg as linalg_module
 
-from oracles import determinant, fraction_rank, identity, matmul, max_minor_bound
+from oracles import (
+    determinant,
+    fraction_rank,
+    identity,
+    matmul,
+    max_minor_bound,
+    smith_with_separate_transforms,
+)
 
 matrices = st.integers(1, 4).flatmap(
     lambda n: st.integers(1, 4).flatmap(
@@ -74,6 +81,34 @@ def test_snf_examples():
     assert smith_normal_form(IntMatrix(((2, 4), (6, 8)))).diagonal == (2, 4)
     assert smith_normal_form(IntMatrix(((0, 0), (0, 0)))).diagonal == (0, 0)
     assert smith_normal_form(IntMatrix(((6,),))).diagonal == (6,)
+
+
+def test_smith_carries_appended_columns_like_separate_transforms():
+    # the rows [A | I] come back as [D | U] and [A | b] as [D | U*b], with
+    # the diagonal and V of the elimination that keeps U apart; about a
+    # third of the draws are products with a thin factor, so rank-deficient
+    rng = random.Random(25)
+    for trial in range(1000):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        if trial % 3:
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        else:
+            k = rng.randint(1, min(m, n))
+            left = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(m)]
+            right = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+            rows = [[sum(x * y for x, y in zip(r, c)) for c in zip(*right)] for r in left]
+        u, diag, v = smith_with_separate_transforms(rows, n)
+        eye = [[int(i == j) for j in range(m)] for i in range(m)]
+        rows_du, diag_du, v_du = linalg_module._smith([r + e for r, e in zip(rows, eye)], n)
+        assert ([r[n:] for r in rows_du], diag_du, v_du) == (u, diag, v)
+        for i, r in enumerate(rows_du):
+            assert r[:n] == [diag[i] if i == j and i < len(diag) else 0 for j in range(n)]
+        b = [rng.randint(-9, 9) for _ in range(m)]
+        rows_ub, diag_b, v_b = linalg_module._smith([r + [c] for r, c in zip(rows, b)], n)
+        assert (diag_b, v_b) == (diag, v)
+        assert [r[n] for r in rows_ub] == [sum(x * y for x, y in zip(r, b)) for r in u]
+        # plain rows come back as D alone
+        assert linalg_module._smith(rows, n) == ([r[:n] for r in rows_du], diag, v)
 
 
 @settings(max_examples=150, deadline=None)

@@ -197,6 +197,29 @@ def test_post_init_normalises_and_validates():
     z = AbelianGroup(1)
     with pytest.raises(ValueError):
         GSet(ElementCollection(z, (z.element((1,)),)), frozenset({frozenset()}))
+    # ==, hash and repr read every field as __post_init__ left it
+    for raw, fields in (
+        (AbelianGroup(True, [2]), (1, (2,))),
+        (IntMatrix([[1, True]]), (((1, 1),), 2)),
+        (LinearSystem(2, [([1, 0], 1)], [([0, True], 0)]), (2, (((1, 0), 1),), (((0, 1), 0),))),
+        (VectorConfiguration(True, [[1], [-1]]), (1, ((1,), (-1,)))),
+        (ElementCollection(z, [z.element((1,))]), (z, (z.element((1,)),))),
+    ):
+        cls = type(raw)
+        assert raw == cls(*fields) and _values(raw) == fields
+        assert hash(raw) == hash(fields)
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(_fields(raw), fields))
+        assert repr(raw) == f"{cls.__qualname__}({body})"
+
+    class Single(Record):
+        # one field: read back without attrgetter, which returns no tuple
+        values: tuple
+
+        def __post_init__(self):
+            object.__setattr__(self, "values", tuple(self.values))
+
+    assert Single([1]) == Single((1,)) and hash(Single([1])) == hash(((1,),))
+    assert repr(Single([1])) == "test_post_init_normalises_and_validates.<locals>.Single(values=(1,))"
 
 
 def test_constructors_refuse_non_integers():
