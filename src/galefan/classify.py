@@ -105,13 +105,12 @@ def build_maximal_fan(coll: ElementCollection) -> SimplicialFan:
     covector on the rays that is -1 on that element's ray, 0 on the rest
     of the candidate and >= 0 on the other rays (Gale duality: the rays
     are the relation lattice, printed in the short basis of
-    ``_relation_basis``), or, for a torsion-free group whose dual search
-    would leave more than one unknown or whose complement repeats a
-    value, about the distinct values of the complement.  Regularity of
-    every maximal cone (which implies regularity and strict convexity of
-    every cone, each being a face of a maximal one) and the fan axioms
-    are re-verified and discrepancies raise, since the theory promises
-    them.
+    ``_relation_basis``), or, for a torsion-free group whose relations
+    have rank above the candidate's size plus one, about the distinct
+    values of the complement.  Regularity of every maximal cone (which
+    implies regularity and strict convexity of every cone, each being a
+    face of a maximal one) and the fan axioms are re-verified and
+    discrepancies raise, since the theory promises them.
     """
     config = _admissible_configuration(coll)
     r = len(coll)

@@ -419,8 +419,9 @@ def _fixture_suite():
 
 
 def _run_fixtures() -> int:
+    suite = _fixture_suite()
     failures = 0
-    for name, fn in _fixture_suite():
+    for name, fn in suite:
         try:
             ok = fn()
         except Exception:
@@ -429,7 +430,7 @@ def _run_fixtures() -> int:
         sys.stdout.write(line + "\n")
         if not ok:
             failures += 1
-    sys.stdout.write(f"{len(_fixture_suite()) - failures} passed, {failures} failed\n")
+    sys.stdout.write(f"{len(suite) - failures} passed, {failures} failed\n")
     return 0 if failures == 0 else 1
 
 

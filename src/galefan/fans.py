@@ -34,11 +34,11 @@ from .linalg import (
     LinearSystem,
     Vector,
     _covector_for_pattern,
+    _smith,
     dot,
     integer_kernel,
     lp_feasible,
     matrix_rank,
-    smith_normal_form,
 )
 
 Cone = frozenset
@@ -162,11 +162,8 @@ def is_strictly_convex(config: VectorConfiguration, indices: Iterable[int]) -> b
 
 def is_regular_cone(config: VectorConfiguration, indices: Iterable[int]) -> bool:
     """Are the chosen vectors part of a basis of the ambient lattice?"""
-    idx = tuple(sorted(set(indices)))
-    if not idx:
-        return True
-    snf = smith_normal_form(config.column_matrix(idx))
-    return snf.rank == len(idx) and all(d == 1 for d in snf.invariant_factors)
+    idx = sorted(set(indices))  # the empty cone has the empty Smith diagonal
+    return _smith(config.column_matrix(idx).entries, len(idx))[1] == [1] * len(idx)
 
 
 def _is_simplicial(config: VectorConfiguration, cone: Cone) -> bool:

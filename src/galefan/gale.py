@@ -104,7 +104,7 @@ def configs_equivalent(left: VectorConfiguration, right: VectorConfiguration) ->
     """Same rank, same length, same canonical form (order preserved)."""
     if left.rank != right.rank or len(left) != len(right):
         return False
-    return canonical_form(left).vectors == canonical_form(right).vectors
+    return row_hermite_form(left.column_matrix())[1] == row_hermite_form(right.column_matrix())[1]
 
 
 def pairs_equivalent(left: ElementCollection, right: ElementCollection) -> bool:

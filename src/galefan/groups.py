@@ -81,14 +81,8 @@ class AbelianGroup(Record):
 
     def generators(self) -> tuple["GroupElement", ...]:
         """Standard generators: free basis vectors, then torsion basis vectors."""
-        gens = []
-        for i in range(self.free_rank):
-            gens.append(self.element(tuple(1 if j == i else 0 for j in range(self.free_rank)),
-                                     (0,) * len(self.torsion)))
-        for i in range(len(self.torsion)):
-            gens.append(self.element((0,) * self.free_rank,
-                                     tuple(1 if j == i else 0 for j in range(len(self.torsion)))))
-        return tuple(gens)
+        f = self.free_rank
+        return tuple([self.element(e[:f], e[f:]) for e in _identity(self.coords)])
 
 
 class GroupElement(Record):
@@ -270,7 +264,6 @@ def semigroup_membership(
     r = len(gens)
     s = len(group.torsion)
     eqs = tuple(zip(_lifted_rows(gens, group), target.lift()))
-    rows = []
     if s:
         # torsion multipliers are unbounded in sign, which can send the
         # branch and bound wandering, so every variable is boxed by
@@ -278,14 +271,12 @@ def semigroup_membership(
         # [-bound, bound].  The box holds a solution whenever one exists
         # (proved in _search_radius), so it never changes the answer
         bound = _search_radius(target, gens)
-        for i in range(r + s):
-            unit = tuple(1 if j == i else 0 for j in range(r + s))
-            neg = tuple(-c for c in unit)
+        rows = []
+        for i, unit in enumerate(_identity(r + s)):
             rows.append((unit, 0 if i < r else -bound))
-            rows.append((neg, -bound))
+            rows.append(([-c for c in unit], -bound))
     else:
-        for i in range(r):
-            rows.append((tuple(1 if j == i else 0 for j in range(r)), 0))
+        rows = [(unit, 0) for unit in _identity(r)]
     ok, witness = ilp_feasible(LinearSystem(r + s, eqs, tuple(rows)))
     if not ok:
         return False, None
@@ -388,21 +379,20 @@ def _in_semigroup_outside(
     <dual[j], u> = 0 for j in the cone other than k, and <dual[j], u> >= 0
     elsewhere.  That search needs no torsion multipliers and no search
     box; the relation it yields is re-checked as a combination in the
-    group.  A torsion-free group asks the dual only when the outside
-    values are pairwise distinct and the relations have rank at most
-    |cone| + 1: the cone minus k is independent in every caller, so both
-    searches leave the same single unknown and neither asks an LP.
-    Otherwise it asks ``semigroup_membership`` about the distinct outside
-    values, whose lifted system is smaller when values repeat.
+    group.  One rule picks the route: a torsion-free group whose
+    relations have rank above |cone| + 1 asks ``semigroup_membership``
+    about the distinct outside values instead.  At or below that rank the
+    dual search leaves at most one unknown, whether or not outside values
+    repeat, so it asks no LP: the cone minus k is independent in every
+    caller, and a dual[k] in the span of its rows makes the equalities
+    inconsistent, which the elimination refuses.
     """
     inside = set(cone)
     outside = tuple([i for i in coll.indices if i not in inside])
     target, values = coll[k], coll.take(outside)
     if target.is_zero or target in values:
         return True
-    if not coll.group.torsion and (
-        len(dual[k]) > len(inside) + 1 or len(set(values)) < len(values)
-    ):
+    if not coll.group.torsion and len(dual[k]) > len(inside) + 1:
         return semigroup_membership(target, _distinct_values(values))[0]
     zeros = tuple(sorted(inside - {k}))
     u = _covector_for_pattern(dual, k, zeros, outside, 0)
@@ -430,9 +420,8 @@ def is_admissible(coll: ElementCollection) -> AdmissibilityResult:
     relations off ``_relation_basis``, the one Smith form of the lifted
     matrix.  Each element then asks the Gale dual for an integer
     covector that is -1 on its dual vector and >= 0 on all others; a
-    torsion-free group with repeated values among the others, or with
-    relations of rank above 2, asks about their distinct values instead
-    (see ``_in_semigroup_outside``).
+    torsion-free group with relations of rank above 2 asks about the
+    distinct values of the others instead (see ``_in_semigroup_outside``).
     """
     return _admissibility(coll, _relation_basis(coll))
 

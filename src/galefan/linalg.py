@@ -334,12 +334,6 @@ def lp_feasible(system: LinearSystem) -> tuple[bool, Optional[tuple[Fraction, ..
     n = system.n_vars
     eqs = system.equalities
     ins = system.inequalities
-    if not eqs and not ins:
-        return True, (Fraction(0),) * n
-    if n == 0:
-        ok = all(rhs == 0 for _, rhs in eqs) and all(rhs <= 0 for _, rhs in ins)
-        return (True, ()) if ok else (False, None)
-
     # columns: x+ (n) | x- (n) | slacks (len(ins)) | artificials (m)
     q = len(ins)
     ncols = 2 * n + q
@@ -521,10 +515,9 @@ def ilp_feasible(system: LinearSystem) -> tuple[bool, Optional[Vector]]:
 
     def bound_rows(lo, hi):
         out = []
-        for j in range(k):
-            unit = tuple(1 if i == j else 0 for i in range(k))
+        for j, unit in enumerate(_identity(k)):
             out.append((unit, lo[j]))
-            out.append((tuple(-c for c in unit), -hi[j]))
+            out.append(([-c for c in unit], -hi[j]))
         return out
 
     stack = [(lows, highs)]

@@ -138,10 +138,11 @@ def test_each_entry_point_builds_one_smith_form_of_the_lifted_matrix(monkeypatch
         assert len(bases) == 1
 
 
-def test_repeated_values_keep_the_lifted_route(monkeypatch):
-    # Z (1, 1, 2, 2, 3): a complement with a repeated value asks about
-    # its distinct values, one with distinct values asks the Gale dual;
-    # both leave at most one unknown, so the fan asks no LP
+def test_route_rule_reads_only_the_relation_rank(monkeypatch):
+    # Z (1, 1, 2, 2, 3): the relations have rank 4, so a candidate of
+    # size 3 or more asks the Gale dual, whether or not its complement
+    # repeats a value, and a smaller one that needs a search asks about
+    # the distinct values of its complement; the fan asks no LP either way
     lifted, lps = [], []
     membership, lp = galefan.groups.semigroup_membership, galefan.linalg.lp_feasible
 
@@ -159,7 +160,7 @@ def test_repeated_values_keep_the_lifted_route(monkeypatch):
             monkeypatch.setattr(module, "lp_feasible", recording_lp)
     galefan.linalg.ilp_feasible.cache_clear()
     fan = build_maximal_fan(ints(1, 1, 2, 2, 3))
-    assert len(fan.cones) == 24 and len(lifted) == 9 and lps == []
+    assert len(fan.cones) == 24 and len(lifted) == 8 and lps == []
 
 
 def test_maximal_fan_checks_regularity_on_maximal_cones(monkeypatch):

@@ -31,6 +31,7 @@ from galefan import (
     primitivize,
     root_connecting,
     roots_in_box,
+    smith_normal_form,
     validate_fan,
 )
 import galefan.errors as errors_module
@@ -118,6 +119,21 @@ def test_regular_cones():
     assert not is_regular_cone(config, [3])
     # too many vectors for a simplicial cone
     assert not is_regular_cone(config, [0, 1, 2])
+
+
+def test_regular_cones_match_the_invariant_factors():
+    # a cone is regular exactly when its columns have full rank and
+    # every invariant factor is 1
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(60):
+        config = random_config(rng, rng.randint(1, 4), 6, bound=3, primitive=rng.random() < 0.5)
+        idx = rng.sample(range(6), rng.randint(0, 5))
+        factors = smith_normal_form(config.column_matrix(idx)).invariant_factors
+        want = factors == (1,) * len(idx)
+        assert is_regular_cone(config, idx) == want, (config, idx)
+        seen.add((want, len(factors) == len(idx)))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_cones_meet_in_common_face():

@@ -287,7 +287,8 @@ def test_distinct_value_rule_matches_raw_membership(covector_answers):
     # subset; r <= 5 is drawn and doubling reaches 6 (the raw searches
     # of a drawn r = 6 take seconds each).  Collections without
     # relations (a rank-0 dual) are drawn and also appended.  Torsion-free
-    # draws, mostly with distinct values, reach the dual route too
+    # draws, most of them with a repeated value, reach the dual route
+    # with and without repeats among the outside values
     rng = random.Random(1)
     colls = []
     for _ in range(50):
@@ -304,10 +305,11 @@ def test_distinct_value_rule_matches_raw_membership(covector_answers):
         colls.append(ElementCollection(group, tuple(elems)))
     for _ in range(30):
         group = AbelianGroup(rng.randint(1, 3))
-        r = rng.randint(1, 5)
+        r = rng.randint(2, 5)
         elems = [random_element(rng, group, height=2) for _ in range(r)]
-        if rng.random() < 0.3:
-            elems[rng.randrange(r)] = elems[rng.randrange(r)]
+        if rng.random() < 0.8:
+            i, j = rng.sample(range(r), 2)
+            elems[i] = elems[j]
         colls.append(ElementCollection(group, tuple(elems)))
     zt, zzt = AbelianGroup(1, (6,)), AbelianGroup(2, (2,))
     colls += [

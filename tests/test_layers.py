@@ -127,3 +127,20 @@ def test_one_search_cap():
         "shape G-set of %s members",
         "product split scan of %s unions",
     }
+
+
+def test_no_module_builds_a_full_smith_form():
+    # package code reads linalg._smith's plain lists and appends only the
+    # columns it needs; smith_normal_form's SnfResult, with U, D and V as
+    # records, is built for library callers only
+    trees = _trees()
+    callers = sorted(
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("smith_normal_form")
+    )
+    assert callers == []
+    assert "smith_normal_form" in {
+        node.name for node in trees["linalg"].body if isinstance(node, ast.FunctionDef)
+    }

@@ -251,6 +251,12 @@ def test_lp_known_cases():
     # empty system is feasible at the origin
     ok3, w3 = lp_feasible(LinearSystem(2))
     assert ok3 and w3 == (Fraction(0), Fraction(0))
+    # with no unknowns every row reads 0 == rhs or 0 >= rhs
+    assert lp_feasible(LinearSystem(0, equalities=(((), 0),))) == (True, ())
+    assert lp_feasible(LinearSystem(0, equalities=(((), 1),))) == (False, None)
+    for rhs in (-1, 0, 1):
+        want = (True, ()) if rhs <= 0 else (False, None)
+        assert lp_feasible(LinearSystem(0, inequalities=(((), rhs),))) == want
 
 
 def brute_force_ilp(system: LinearSystem, radius: int):
