@@ -77,8 +77,7 @@ def _admissible_configuration(coll: ElementCollection) -> VectorConfiguration:
     # is_admissible, then inverse_gale_transform, on one Smith form; an
     # element with a zero dual vector fails admissibility before the rays
     # are built, so the error names that element
-    relations = _relation_basis(coll)
-    adm = _admissibility(coll, relations)
+    adm = _admissibility(coll, relations := _relation_basis(coll))
     if not adm.generates:
         raise NotAdmissibleError("collection does not generate its group")
     if not adm.admissible:
@@ -113,26 +112,10 @@ def build_maximal_fan(coll: ElementCollection) -> SimplicialFan:
     discrepancies raise, since the theory promises them.
     """
     config = _admissible_configuration(coll)
-    r = len(coll)
-    indices = set(range(r))
-    cones: list[frozenset[int]] = [frozenset()]
-    level = [frozenset()]
-    while level:
-        prev = set(level)
-        candidates = sorted(
-            {base | {j} for base in prev for j in indices - base}, key=cone_key
-        )
-        level = []
-        for cand in candidates:
-            # antitone pruning: every facet of a cone must itself be a cone
-            if any(cand - {k} not in prev for k in cand):
-                continue
-            if _in_semigroup_outside(coll, max(cand), cand, config.vectors):
-                level.append(cand)
-        cones.extend(level)
+    cones = [cone for level in _cone_levels(coll, config.vectors) for cone in level]
     coneset = set(cones)
     for cone in cones:
-        maximal = all(cone | {j} not in coneset for j in indices - cone)
+        maximal = all(cone | {j} not in coneset for j in range(len(coll)) if j not in cone)
         if maximal and not is_regular_cone(config, cone):
             raise InternalError(f"cone {_numbered(cone)} is not regular")
     try:
@@ -142,6 +125,18 @@ def build_maximal_fan(coll: ElementCollection) -> SimplicialFan:
             "maximal fan fails validation: %s"
             % "; ".join(v.message for v in exc.report.violations)
         ) from exc
+
+
+def _cone_levels(coll: ElementCollection, dual: tuple) -> list[list[frozenset[int]]]:
+    # build_maximal_fan's cones on the rays dual, by size in cone_key order, then []
+    levels, indices = [[frozenset()]], range(len(coll))
+    while levels[-1]:
+        prev = set(levels[-1])
+        # antitone pruning: every facet of a cone must itself be a cone
+        level = sorted({c | {j} for c in prev for j in indices if j not in c}, key=cone_key)
+        level = [c for c in level if all(c - {k} in prev for k in c)]
+        levels.append([c for c in level if _in_semigroup_outside(coll, max(c), c, dual)])
+    return levels
 
 
 def gset_from_subfan(
@@ -238,30 +233,33 @@ def _violation(coll: ElementCollection, members) -> Optional[tuple]:
 def enumerate_connected_gsets(coll: ElementCollection) -> tuple[GSet, ...]:
     """All connected families of generating subcollections.
 
-    Exhaustive over the 2^r subsets, then over the families of the
-    generating ones, each count checked first against ``SEARCH_CAP``;
-    families that cannot satisfy (C1) make the result empty.
+    After the 2^r subsets pass ``SEARCH_CAP``, a collection that is not
+    admissible fails (C1) and has none.  Otherwise the families are the
+    complements of the maximal fan's subfans that keep every ray, so
+    (C1) and (C2) hold: each cone of size >= 2 is kept or not, in
+    ``cone_key`` order, and kept only when all its facets are.  Each
+    step of that search counts against ``SEARCH_CAP``, and each complete
+    family gets the (C3) check of ``is_connected_gset``.
     """
-    r = len(coll)
-    check_search("G-set subset scan of %s subsets", "2^%d" % r, 1 << r)
-    if not generates_group(coll):
+    check_search("G-set subset scan of %s subsets", "2^%d" % len(coll), 1 << len(coll))
+    adm = _admissibility(coll, relations := _relation_basis(coll))
+    if not adm.generates:
         raise NotGeneratingError("collection does not generate its group")
-    full = frozenset(range(r))
-    generating = [
-        frozenset(s)
-        for k in range(r + 1)
-        for s in combinations(range(r), k)
-        if generates_full_semigroup(coll, s)
-    ]
-    mandatory = {full} | {full - {i} for i in range(r)}
-    if not mandatory <= set(generating):
+    if not adm.admissible:
         return ()
-    optional = sorted((g for g in set(generating) - mandatory), key=cone_key)
-    check_search("G-set family scan of %s families", "2^%d" % len(optional), 1 << len(optional))
-    found = []
-    for mask in range(1 << len(optional)):
-        members = frozenset(mandatory | {g for k, g in enumerate(optional) if mask >> k & 1})
-        if _violation(coll, members) is None:
+    levels = _cone_levels(coll, tuple(zip(*relations)))
+    optional, full = [c for level in levels[2:] for c in level], frozenset(coll.indices)
+    found, steps, stack = [], 0, [(0, frozenset(levels[0] + levels[1]))]
+    while stack:
+        steps += 1
+        check_search("G-set subfan search of %s steps", "at least %d" % steps, steps, exact=False)
+        n, kept = stack.pop()
+        if n < len(optional):
+            cone = optional[n]
+            if all(cone - {i} in kept for i in cone):
+                stack.append((n + 1, kept | {cone}))
+            stack.append((n + 1, kept))
+        elif _violation(coll, members := frozenset(full - c for c in kept)) is None:
             found.append(GSet(coll, members))
     found.sort(key=lambda g: (len(g.members), tuple(cone_key(m) for m in g.sorted_members())))
     return tuple(found)

@@ -43,8 +43,9 @@ class CapExceededError(GalefanError):
 def check_search(search: str, formula: str, count: int, exact: bool = True) -> None:
     """Refuse a search of more than ``SEARCH_CAP`` candidates before it starts.
 
-    ``search`` gets ``formula = count`` for its ``%s``, or the formula alone
-    when the count is a lower bound (``exact=False``) or too long to print.
+    The G-set subfan search calls it at each step instead.  ``search``
+    gets ``formula = count`` for its ``%s``, or the formula alone when the
+    count is a lower bound (``exact=False``) or too long to print.
     """
     if count > SEARCH_CAP:
         shown = exact and count.bit_length() <= 14_000  # under Python's 4,300-digit limit

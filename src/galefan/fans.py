@@ -34,6 +34,7 @@ from .linalg import (
     LinearSystem,
     Vector,
     _covector_for_pattern,
+    _rank,
     _smith,
     dot,
     integer_kernel,
@@ -71,7 +72,7 @@ class VectorConfiguration(Record):
                 raise ValueError("vector length does not match rank")
             if not any(v):
                 raise DegenerateConfigurationError("configuration contains a zero vector")
-        if matrix_rank(IntMatrix(vecs, self.rank)) < self.rank:
+        if _rank(vecs, self.rank) < self.rank:
             raise DegenerateConfigurationError("vectors do not span the ambient space")
 
     def __len__(self) -> int:

@@ -280,21 +280,26 @@ def matrix_rank(a: IntMatrix) -> int:
     entry still in use is an integer minor of the input, so each
     division is exact; the column below a pivot is never read again.
     """
-    m = [list(r) for r in a.entries]
-    rank, prev = 0, 1
-    for col in range(a.cols):
-        if rank == a.rows:
+    return _rank(a.entries, a.cols)
+
+
+def _rank(entries: Sequence[Vector], cols: int) -> int:
+    # matrix_rank of plain integer rows, each of length cols
+    m = [list(r) for r in entries]
+    rank, prev, rows = 0, 1, len(m)
+    for col in range(cols):
+        if rank == rows:
             break
-        piv = next((i for i in range(rank, a.rows) if m[i][col] != 0), None)
+        piv = next((i for i in range(rank, rows) if m[i][col] != 0), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
         prow = m[rank]
         p = prow[col]
-        for i in range(rank + 1, a.rows):
+        for i in range(rank + 1, rows):
             row = m[i]
             f = row[col]
-            for j in range(col + 1, a.cols):
+            for j in range(col + 1, cols):
                 row[j] = (row[j] * p - f * prow[j]) // prev
         prev = p
         rank += 1
@@ -426,8 +431,8 @@ _ILP_NODE_CAP = 100_000
 
 # the package's one memo.  perfbench's inputs (seeds 1-4) ask at most 16
 # distinct systems per fan command and 39 per fan set-up; decide keeps
-# asking new ones (1,200 items: 2,386 misses, 82 hits), and the bound
-# caps its memo at about 1.3 MB
+# asking new ones (seed 1, first 1,200 items: 2,388 misses, 80 hits), and
+# the bound caps its memo at about 1.3 MB
 @lru_cache(maxsize=1024)
 def ilp_feasible(system: LinearSystem) -> tuple[bool, Optional[Vector]]:
     """Exact feasibility of a linear system over the integers.

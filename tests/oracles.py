@@ -8,8 +8,9 @@ cone separation decided on the Gale side instead of the primal side,
 positive spanning by one LP per signed unit vector, shape members by
 filtering every index subset, pair equivalence by trying every index
 permutation, connecting roots by trying zero sets from the smallest
-up, and condition (C3) of a G-set by listing every link of the
-collection before looking at the family.
+up, condition (C3) of a G-set by listing every link of the
+collection before looking at the family, and connected G-sets by
+filtering every family of generating subsets.
 """
 
 from __future__ import annotations
@@ -22,15 +23,20 @@ from typing import Sequence
 from galefan import (
     ConnectednessResult,
     DemazureRoot,
+    GSet,
     IntMatrix,
     LinearSystem,
+    NotGeneratingError,
     cone_key,
+    generates_full_semigroup,
+    generates_group,
     integer_kernel,
     is_link,
     linear_gale_transform,
     lp_feasible,
     row_hermite_form,
 )
+from galefan.classify import _violation
 from galefan.fans import _extends_by
 from galefan.linalg import _covector_for_pattern
 from galefan.groups import _lifted_matrix, _relation_basis, _relation_columns
@@ -331,3 +337,33 @@ def c3_by_link_list(gset) -> ConnectednessResult:
         ):
             return ConnectednessResult(False, ("C3", tuple(sorted(member))))
     return ConnectednessResult(True, None)
+
+
+def connected_gsets_by_family_scan(coll) -> tuple:
+    """Every connected G-set of a collection, sorted as
+    ``enumerate_connected_gsets`` sorts them.  Each of the 2^r subsets is
+    asked whether it generates the full semigroup; the whole set and the
+    co-singletons are mandatory members (none when a co-singleton does
+    not generate), and each of the 2^k families of the k other
+    generating subsets is checked for (C1)-(C3)."""
+    r = len(coll)
+    if not generates_group(coll):
+        raise NotGeneratingError("collection does not generate its group")
+    full = frozenset(range(r))
+    generating = {
+        frozenset(s)
+        for k in range(r + 1)
+        for s in combinations(range(r), k)
+        if generates_full_semigroup(coll, s)
+    }
+    mandatory = {full} | {full - {i} for i in range(r)}
+    if not mandatory <= generating:
+        return ()
+    optional = sorted(generating - mandatory, key=cone_key)
+    found = []
+    for mask in range(1 << len(optional)):
+        members = frozenset(mandatory | {g for k, g in enumerate(optional) if mask >> k & 1})
+        if _violation(coll, members) is None:
+            found.append(GSet(coll, members))
+    found.sort(key=lambda g: (len(g.members), tuple(cone_key(m) for m in g.sorted_members())))
+    return tuple(found)

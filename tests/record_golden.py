@@ -20,8 +20,8 @@ above reaches: ``gale transform|linear|canonical``, ``check suitable``
 on a suitable and an unsuitable configuration, ``gset check`` on a
 connected G-set and on one failing each of C1, C2 and C3, ``gset
 to-fan`` on a G-set and on a collection that does not generate its
-group (a ``precondition`` envelope), and ``gset enumerate`` on a pair
-and on five elements, past the enumeration cap (exit 3); then every
+group (a ``precondition`` envelope), and ``gset enumerate`` on Z
+(1,1,1), on P^4, Z (1^5), and on Z (1,1,1,2,2); then every
 fan command on the maximal fan of Z (1,1,1) and its one-skeleton, so
 that each yes/no command has a positive and a negative record.  The
 records of ``CHANGED`` come last, one for each output that was changed
@@ -177,9 +177,14 @@ REMAINING = [
     ),
     ("Z (1,1,1)", ["gset", "enumerate"], P2_PAIR),
     (
-        "past the cap: Z (1,1,1,1,1)",
+        "P4: Z (1,1,1,1,1)",
         ["gset", "enumerate"],
         {"group": {"free_rank": 1, "torsion": []}, "collection": [[1]] * 5},
+    ),
+    (
+        "Z (1,1,1,2,2)",
+        ["gset", "enumerate"],
+        {"group": {"free_rank": 1, "torsion": []}, "collection": [[1], [1], [1], [2], [2]]},
     ),
 ]
 

@@ -39,11 +39,17 @@ from galefan import (
     subfan_from_gset,
 )
 import galefan
+from galefan.errors import SEARCH_CAP
 from galefan.classify import _finest_product_partition, _rank_one_type
 from galefan.groups import _lifted_matrix
 
-from conftest import admissible_catalog, all_full_ray_subfans, random_collection
-from oracles import positively_spans_by_signed_units, relations_of, shape_members_by_subset_filter
+from conftest import admissible_catalog, all_full_ray_subfans, random_collection, random_element
+from oracles import (
+    connected_gsets_by_family_scan,
+    positively_spans_by_signed_units,
+    relations_of,
+    shape_members_by_subset_filter,
+)
 
 Z = AbelianGroup(1, ())
 TRIV = AbelianGroup(0, ())
@@ -410,11 +416,12 @@ def test_every_search_refuses_past_the_cap_before_an_integer_question(monkeypatc
     assert asked == []
 
 
-def test_gset_enumeration_checks_its_families_after_its_subsets(monkeypatch):
-    # Z (1,1,1,1): 2^4 subsets pass a cap of 16, and 10 optional members
-    # make 2^10 families
-    monkeypatch.setattr(galefan.errors, "SEARCH_CAP", 16)
-    message = "G-set family scan of 2^10 = 1024 families exceeds the cap of 16"
+def test_gset_enumeration_counts_its_steps_after_its_subsets(monkeypatch):
+    # Z (1,1,1,1): 2^4 subsets and every family's at most 104 (C3) pairs
+    # pass a cap of 104, and the subfan search over its 10 cones of size
+    # >= 2 takes 489 steps
+    monkeypatch.setattr(galefan.errors, "SEARCH_CAP", 104)
+    message = "G-set subfan search of at least 105 steps exceeds the cap of 104"
     with pytest.raises(CapExceededError, match=re.escape(message)):
         enumerate_connected_gsets(ints(1, 1, 1, 1))
 
@@ -441,10 +448,48 @@ def test_enumerate_connected_gsets_small():
     assert gsets[0].members == frozenset(
         {frozenset({0, 1}), frozenset({0}), frozenset({1})}
     )
-    with pytest.raises(CapExceededError):
-        enumerate_connected_gsets(ints(1, 1, 1, 1, 1))
+    # Z (1^10) has 1,012 cones of size >= 2, more than the interpreter's
+    # recursion limit, so the search keeps its own stack; its step count
+    # refuses it
+    message = "G-set subfan search of at least %d steps exceeds the cap of %d" % (
+        SEARCH_CAP + 1,
+        SEARCH_CAP,
+    )
+    with pytest.raises(CapExceededError, match=re.escape(message)):
+        enumerate_connected_gsets(ints(*[1] * 10))
     with pytest.raises(NotGeneratingError, match="does not generate its group"):
         enumerate_connected_gsets(ints(2, 2))
+    # 1 is not in the semigroup of 2: (C1) fails, and no family is connected
+    assert enumerate_connected_gsets(ints(1, 2)) == ()
+
+
+def test_enumerate_connected_gsets_of_r_5_pairs():
+    # P^4 has 25 cones of size >= 2, and 2^25 families; only its 6,893
+    # subfans that keep every ray are visited
+    assert len(enumerate_connected_gsets(ints(1, 1, 1, 1, 1))) == 51
+    assert len(enumerate_connected_gsets(ints(1, 1, 1, 2, 2))) == 8
+
+
+def test_gset_enumeration_matches_the_family_scan():
+    # seeded pairs with r <= 4, half of the elements copies of earlier
+    # ones so that many are admissible, and the catalog's pairs
+    rng = random.Random(1)
+    groups = [AbelianGroup(f, t) for f in range(3) for t in ((), (2,), (3,), (2, 2))]
+    pairs = admissible_catalog()
+    while len(pairs) < 265:
+        group, values = rng.choice(groups), []
+        for _ in range(rng.randint(1, 4)):
+            fresh = not values or rng.random() < 0.5
+            values.append(random_element(rng, group, 2) if fresh else rng.choice(values))
+        coll = ElementCollection(group, tuple(values))
+        if generates_group(coll):
+            pairs.append(coll)
+    connected = 0
+    for coll in pairs:
+        expected = connected_gsets_by_family_scan(coll)
+        assert enumerate_connected_gsets(coll) == expected, coll
+        connected += bool(expected)
+    assert connected >= 140
 
 
 def test_gsets_biject_with_strongly_regular_subfans():

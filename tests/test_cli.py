@@ -543,10 +543,12 @@ def test_too_few_elements_for_a_large_group_answer_at_once(cli, argv, expected):
 
 
 def test_cap_exceeded_exit_3(cli):
-    five = {"group": {"free_rank": 1, "torsion": []}, "collection": [[1]] * 5}
-    code, out, _ = cli(["gset", "enumerate"], stdin=json.dumps(five))
+    # Z (1^10): the G-set subfan search is refused at its step cap
+    ten = {"group": {"free_rank": 1, "torsion": []}, "collection": [[1]] * 10}
+    code, out, err = cli(["gset", "enumerate"], stdin=json.dumps(ten))
     assert code == 3
     assert json.loads(out)["error"]["type"] == "cap-exceeded"
+    assert "Traceback" not in err
 
 
 def test_root_scan_past_the_cap_exits_3_at_once(cli):
@@ -923,12 +925,14 @@ def test_golden_cli_corpus_is_byte_identical(cli, tmp_path, monkeypatch):
     # linear and check suitable, both inputs of a two-input command
     # named as stdin), and of two searches past the search cap; the gset
     # enumerate record past the cap was re-recorded when one search cap
-    # replaced the per-search ones; the last record, classify pair on
+    # replaced the per-search ones, and again, now answering P^4, when
+    # the enumeration began to search subfans, which added Z (1,1,1,2,2);
+    # the last record, classify pair on
     # Z (1,1,2,4,...,20), pins a pair with many distinct values, and the
     # check suitable and gale transform records after it pin seeded
     # configurations of rank 2 and 3; re-record only on purpose
     corpus = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
-    assert len(corpus) == 127
+    assert len(corpus) == 128
     monkeypatch.chdir(tmp_path)
     for case in corpus:
         for name, text in case.get("files", {}).items():

@@ -90,7 +90,8 @@ def test_no_module_asserts():
 
 def test_one_search_cap():
     # every exponential search checks its count against errors.SEARCH_CAP
-    # through errors.check_search; only branch and bound counts its nodes
+    # through errors.check_search, the G-set subfan search step by step;
+    # only branch and bound counts its nodes against a cap of its own
     trees = _trees()
     caps = sorted(
         f"{name}.{target.id}"
@@ -122,7 +123,7 @@ def test_one_search_cap():
         "root zero-set search of %s zero sets",
         "pair bijection search of %s bijections",
         "G-set subset scan of %s subsets",
-        "G-set family scan of %s families",
+        "G-set subfan search of %s steps",
         "(C3) link search of %s (target, support) pairs",
         "shape G-set of %s members",
         "product split scan of %s unions",
